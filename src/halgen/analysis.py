@@ -81,11 +81,10 @@ class Project:
     def hal_unit(self) -> TranslationUnit:
         return next(u for u in self.units if u.file_id == self.hal_unit_id)
 
-    def unit_index(self, file_id: str) -> int:
-        for i, unit in enumerate(self.units):
-            if unit.file_id == file_id:
-                return i
-        raise KeyError(file_id)
+    def with_hal_unit(self, unit: TranslationUnit) -> "Project":
+        """A copy of this project with `unit` in place of the HAL unit."""
+        units = tuple(unit if u.file_id == self.hal_unit_id else u for u in self.units)
+        return Project(units, self.hal_unit_id)
 
 
 @dataclass
@@ -172,7 +171,7 @@ def build_symbol_table(project: Project) -> SymbolTable:
 
     references: dict[str, list[Reference]] = {}
     for unit in project.units:
-        for ref in _collect_unit_references(unit):
+        for ref in collect_external_references(unit):
             references.setdefault(ref.name, []).append(ref)
 
     unit_order = {u.file_id: i for i, u in enumerate(project.units)}
@@ -182,11 +181,7 @@ def build_symbol_table(project: Project) -> SymbolTable:
 
 
 def collect_external_references(unit: TranslationUnit) -> list[Reference]:
-    """Free-name references of a single unit (used when vetting patches)."""
-    return _collect_unit_references(unit)
-
-
-def _collect_unit_references(unit: TranslationUnit) -> list[Reference]:
+    """Free-name references of a single unit, in source order."""
     collector = _ReferenceCollector()
     for item in unit.items:
         if isinstance(item, FunctionDef):

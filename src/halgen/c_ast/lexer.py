@@ -1,13 +1,15 @@
 """Tokenizer for the embedded C subset.
 
-Produces a flat token stream with exact 1-based, end-inclusive source
-spans. Comments are skipped. An ``#include`` line collapses into a single
+Table-driven: one compiled regex with a named group per token class, read
+by a single loop. Produces a flat token stream with exact 1-based,
+end-inclusive source spans. Comments are skipped. An ``#include`` line collapses into a single
 directive token (the parser never expands it); ``#define`` emits a bare
 directive token so the macro name and value lex as ordinary tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,11 +62,9 @@ KEYWORDS = frozenset({
     "volatile", "if", "else", "while", "for", "return",
 })
 
-TYPE_KEYWORDS = frozenset({"void", "int", "unsigned", "uint8_t", "uint16_t", "uint32_t", "volatile"})
-
-# Longest first so maximal munch falls out of a linear scan. Some of these
-# (e.g. "->", "?", "[") are lexed only so the parser can reject the construct
-# with a positioned error instead of a lex failure.
+# Longest first so maximal munch falls out of the regex alternation. Some
+# of these (e.g. "->", "?", "[") are lexed only so the parser can reject the
+# construct with a positioned error instead of a lex failure.
 PUNCTS = (
     "<<=", ">>=",
     "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -75,51 +75,21 @@ PUNCTS = (
 
 _MAX_U64 = (1 << 64) - 1
 
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() and ch.isascii() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
-
-
-class _Cursor:
-    """Tracks position in the source with 1-based line/column accounting."""
-
-    def __init__(self, source: str, file_id: str):
-        self.source = source
-        self.file_id = file_id
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.at_end():
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def here(self) -> tuple[int, int]:
-        return self.line, self.col
-
-    def span_from(self, start: tuple[int, int], end: tuple[int, int] | None = None) -> SourceSpan:
-        if end is None:
-            # end-inclusive: current position is one past the last consumed char
-            end = (self.line, self.col - 1) if self.col > 1 else (self.line - 1, 1)
-        return SourceSpan(self.file_id, start[0], start[1], end[0], end[1])
+# One alternative per token class, tried in order. Identifiers and digits
+# are ASCII only. A number followed by an identifier character is matched
+# with that character as `tail` so it can be reported as malformed.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<newline>\n)",
+    r"(?P<skip>[ \t\r\f\v]+|//[^\n]*|/\*.*?\*/)",
+    r"(?P<open_comment>/\*)",
+    # an include path is not otherwise lexable, so the whole line is the token
+    r"(?P<include>#include(?![A-Za-z0-9_])[^\n]*)",
+    r"(?P<directive>#[A-Za-z0-9_]*)",
+    r"(?P<number>0[xX][0-9a-fA-F]*|[0-9]+)(?P<tail>[A-Za-z0-9_])?",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCTS)) + ")",
+    r"(?P<other>.)",
+)), re.DOTALL)
 
 
 def lex(source: str, file_id: str = "<input>") -> list[Token]:
@@ -128,123 +98,60 @@ def lex(source: str, file_id: str = "<input>") -> list[Token]:
     Raises LexError on unterminated block comments, malformed numeric
     literals, unknown directives, or characters outside the subset.
     """
-    cur = _Cursor(source, file_id)
     tokens: list[Token] = []
+    line, line_start = 1, 0  # current line number and offset of its first char
     line_has_code = False  # directives must be the first thing on their line
 
-    while not cur.at_end():
-        ch = cur.peek()
-
-        if ch == "\n":
-            cur.advance()
-            line_has_code = False
+    for m in _TOKEN_RE.finditer(source):
+        group, text, begin = m.lastgroup, m.group(), m.start()
+        if group == "newline":
+            line, line_start, line_has_code = line + 1, m.end(), False
             continue
-        if ch in " \t\r\f\v":
-            cur.advance()
+        if group == "skip":
+            # a block comment's newlines do not end the line for directives
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = begin + text.rindex("\n") + 1
             continue
-
-        if ch == "/" and cur.peek(1) == "/":
-            while not cur.at_end() and cur.peek() != "\n":
-                cur.advance()
-            continue
-        if ch == "/" and cur.peek(1) == "*":
-            start = cur.here()
-            cur.advance(2)
-            while not (cur.peek() == "*" and cur.peek(1) == "/"):
-                if cur.at_end():
-                    raise LexError("unterminated block comment", cur.span_from(start, start))
-                cur.advance()
-            cur.advance(2)
-            continue
-
-        if ch == "#":
-            tokens.append(_lex_directive(cur, line_has_code))
-            line_has_code = True
-            continue
-
-        line_has_code = True
-
-        if ch.isdigit():
-            tokens.append(_lex_number(cur))
-            continue
-
-        if _is_ident_start(ch):
-            start = cur.here()
-            begin = cur.pos
-            while _is_ident_char(cur.peek()):
-                cur.advance()
-            text = source[begin:cur.pos]
+        col = begin - line_start + 1
+        if group == "number" or group == "tail":
+            text = m.group("number")
+        span = SourceSpan(file_id, line, col, line, col + len(text) - 1)
+        if group == "open_comment":
+            raise LexError("unterminated block comment", SourceSpan(file_id, line, col, line, col))
+        if group == "other":
+            raise LexError(f"unexpected character {text!r}", span)
+        if group == "include" or group == "directive":
+            if line_has_code:
+                raise LexError("'#' is only valid at the start of a directive line",
+                               SourceSpan(file_id, line, col, line, col))
+            if group == "include":
+                text = text.rstrip()
+                span = SourceSpan(file_id, line, col, line, col + len(text) - 1)
+            elif text != "#define":
+                raise LexError(f"unsupported directive '{text}'", span)
+            tokens.append(Token(TokenKind.DIRECTIVE, text, span))
+        elif group == "word":
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, cur.span_from(start)))
-            continue
-
-        punct = _match_punct(cur)
-        if punct is not None:
-            start = cur.here()
-            cur.advance(len(punct))
-            tokens.append(Token(TokenKind.PUNCT, punct, cur.span_from(start)))
-            continue
-
-        raise LexError(f"unexpected character {ch!r}", cur.span_from(cur.here(), cur.here()))
-
+            tokens.append(Token(kind, text, span))
+        elif group == "punct":
+            tokens.append(Token(TokenKind.PUNCT, text, span))
+        else:
+            is_hex = text[1:2] in ("x", "X")
+            if is_hex and len(text) == 2:
+                raise LexError("hex literal has no digits", span)
+            if group == "tail":
+                raise LexError(f"malformed numeric literal {text + m.group('tail')!r}",
+                               SourceSpan(file_id, line, col, line, col + len(text)))
+            # int() refuses decimal strings past 4300 digits; 21 significant
+            # digits already exceed 64 bits
+            digits = text.lstrip("0")
+            value = int(text, 16) if is_hex else int(digits[:21] or "0")
+            if value > _MAX_U64:
+                raise LexError(f"integer literal {text} exceeds 64 bits", span)
+            tokens.append(Token(TokenKind.INT_LIT, text, span, value=value))
+        line_has_code = True
     return tokens
-
-
-def _match_punct(cur: _Cursor) -> str | None:
-    for punct in PUNCTS:
-        if cur.source.startswith(punct, cur.pos):
-            return punct
-    return None
-
-
-def _lex_number(cur: _Cursor) -> Token:
-    start = cur.here()
-    begin = cur.pos
-    src = cur.source
-    if cur.peek() == "0" and cur.peek(1) in ("x", "X"):
-        cur.advance(2)
-        digits = 0
-        while cur.peek() and cur.peek() in "0123456789abcdefABCDEF":
-            cur.advance()
-            digits += 1
-        if digits == 0:
-            raise LexError("hex literal has no digits", cur.span_from(start))
-    else:
-        while cur.peek().isdigit():
-            cur.advance()
-    if _is_ident_char(cur.peek()):
-        raise LexError(
-            f"malformed numeric literal {src[begin:cur.pos] + cur.peek()!r}",
-            cur.span_from(start, cur.here()),
-        )
-    text = src[begin:cur.pos]
-    value = int(text, 16) if text[:2].lower() == "0x" else int(text, 10)
-    if value > _MAX_U64:
-        raise LexError(f"integer literal {text} exceeds 64 bits", cur.span_from(start))
-    return Token(TokenKind.INT_LIT, text, cur.span_from(start), value=value)
-
-
-def _lex_directive(cur: _Cursor, line_has_code: bool) -> Token:
-    start = cur.here()
-    if line_has_code:
-        raise LexError("'#' is only valid at the start of a directive line", cur.span_from(start, start))
-    cur.advance()  # '#'
-    begin = cur.pos
-    while _is_ident_char(cur.peek()):
-        cur.advance()
-    name = cur.source[begin:cur.pos]
-    if name == "define":
-        return Token(TokenKind.DIRECTIVE, "#define", cur.span_from(start))
-    if name == "include":
-        # the whole line is the token; include paths are not otherwise lexable
-        while not cur.at_end() and cur.peek() != "\n":
-            cur.advance()
-        line_end = cur.pos
-        text = "#" + cur.source[begin:line_end]
-        stripped = text.rstrip()
-        end_col = start[1] + len(stripped) - 1
-        return Token(TokenKind.DIRECTIVE, stripped, SourceSpan(cur.file_id, start[0], start[1], start[0], end_col))
-    raise LexError(f"unsupported directive '#{name}'", cur.span_from(start))
 
 
 def normalize_tokens(source: str) -> list[str]:

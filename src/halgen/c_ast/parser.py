@@ -1,5 +1,9 @@
 """Recursive-descent parser for the embedded C subset.
 
+Binary operators are parsed by precedence climbing over one
+``{operator: precedence}`` table (Pratt 1973, "Top Down Operator
+Precedence").
+
 Accepted top-level constructs: function definitions, global variable
 declarations, object-like ``#define`` constants with constant-expression
 bodies, and ``#include`` directives (recorded verbatim, never expanded).
@@ -10,6 +14,11 @@ ParseError.
 Postfix/prefix ``++``/``--`` are accepted only where their value is
 discarded (expression statements and for-loop steps) and are desugared to
 ``+= 1`` / ``-= 1`` so later stages see only the core expression forms.
+
+Nesting is capped at MAX_NESTING levels so that neither the parser nor the
+recursive walkers of later stages can exhaust the Python stack. Each
+statement, parenthesis (grouping or call), unary or cast operand, and each
+binary or assignment operator of a chain opens one level.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ class ParseError(HalgenError):
         self.span = span
 
 
-@dataclass
+@dataclass(eq=False)
 class _IncrDecr(Expr):
     """Parse-time only; converted to Assign or rejected before parse() returns."""
 
@@ -78,19 +87,12 @@ _BASE_BY_KEYWORD = {
 _ASSIGN_OPS = {"=", "&=", "|=", "^=", "<<=", ">>=", "+=", "-="}
 _REJECTED_ASSIGN_OPS = {"*=", "/=", "%="}
 
-# precedence levels, lowest binding first
-_BINARY_LEVELS = (
-    ("||",),
-    ("&&",),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("==", "!="),
-    ("<", ">", "<=", ">="),
-    ("<<", ">>"),
-    ("+", "-"),
-    ("*", "/", "%"),
-)
+# binding strength of each binary operator; higher binds tighter
+_BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7, "<<": 8, ">>": 8,
+    "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+}
 
 _UNARY_OPS = {"*": "deref", "&": "addr_of", "~": "bitnot", "!": "lognot", "-": "neg"}
 
@@ -108,13 +110,16 @@ _INCLUDE_RE = re.compile(r'^#include\s+(<[^<>]+>|"[^"]+")$')
 _MACRO_BINARY_OPS = {"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"}
 _MACRO_UNARY_OPS = {"bitnot", "neg"}
 
+MAX_NESTING = 64
+
 
 def parse(source: str, file_id: str = "<input>") -> TranslationUnit:
     """Parse `source` into a TranslationUnit. Raises LexError or ParseError."""
-    tokens = lex(source, file_id)
-    parser = _Parser(tokens, file_id)
+    parser = _Parser(lex(source, file_id), file_id)
     unit = parser.parse_unit()
-    _reject_leftover_incr(unit)
+    if parser.stray_incr:
+        first = min(parser.stray_incr, key=lambda e: (e.span.start_line, e.span.start_col))
+        raise ParseError("'++'/'--' are only allowed as standalone statements", first.span)
     return unit
 
 
@@ -123,6 +128,14 @@ class _Parser:
         self.tokens = tokens
         self.file_id = file_id
         self.pos = 0
+        self.depth = 0  # open nesting levels, see MAX_NESTING
+        self.stray_incr: set[_IncrDecr] = set()  # built but not yet desugared
+
+    def _nest(self, opener: Token) -> None:
+        """Open one nesting level; the caller closes it with `depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.span)
 
     # token plumbing ------------------------------------------------------
 
@@ -174,10 +187,6 @@ class _Parser:
         if tok.kind is not TokenKind.IDENT:
             raise ParseError(f"expected {what}, found '{tok.text}'", tok.span)
         return self.advance()
-
-    def _span_between(self, start: Token, end_pos: int | None = None) -> SourceSpan:
-        last = self.tokens[(end_pos if end_pos is not None else self.pos) - 1]
-        return start.span.merge(last.span)
 
     # top level ------------------------------------------------------------
 
@@ -246,6 +255,12 @@ class _Parser:
         name_tok = self.expect_ident("a name")
         if self.check_punct("("):
             return self._parse_function(start, ctype, name_tok)
+        init, span = self._parse_var_rest(start, ctype, name_tok)
+        return GlobalDecl(name_tok.text, ctype, init, span=span)
+
+    def _parse_var_rest(self, start: Token, ctype: CType,
+                        name_tok: Token) -> tuple[Expr | None, SourceSpan]:
+        """The part of a variable declaration after its name, through the ';'."""
         if ctype.base is BaseType.VOID and ctype.pointer_depth == 0:
             raise ParseError("variables cannot have type void", name_tok.span)
         init = None
@@ -255,15 +270,15 @@ class _Parser:
             raise ParseError("one declarator per declaration", self.peek().span)  # type: ignore[union-attr]
         if self.check_punct("["):
             raise ParseError("arrays are not supported", self.peek().span)  # type: ignore[union-attr]
-        self.expect_punct(";")
-        return GlobalDecl(name_tok.text, ctype, init, span=self._span_between(start))
+        end = self.expect_punct(";")
+        return init, start.span.merge(end.span)
 
     def _parse_function(self, start: Token, return_type: CType, name_tok: Token) -> FunctionDef:
         params = self._parse_params()
         if self.check_punct(";"):
             raise ParseError("function prototypes are not supported", self.peek().span)  # type: ignore[union-attr]
         body = self._parse_compound()
-        return FunctionDef(name_tok.text, return_type, params, body, span=self._span_between(start))
+        return FunctionDef(name_tok.text, return_type, params, body, span=start.span.merge(body.span))
 
     def _parse_params(self) -> list[Param]:
         self.expect_punct("(")
@@ -334,30 +349,32 @@ class _Parser:
 
     def _parse_stmt(self) -> Stmt:
         tok = self.peek()
-        assert tok is not None
+        if tok is None:  # a truncated if/while/for body
+            raise ParseError("expected a statement, found end of input", self._eof_span())
+        self._nest(tok)
         if tok.kind is TokenKind.PUNCT and tok.text == "{":
-            return self._parse_compound()
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.text == "if":
-                return self._parse_if()
-            if tok.text == "while":
-                return self._parse_while()
-            if tok.text == "for":
-                return self._parse_for()
-            if tok.text == "return":
-                return self._parse_return()
-            if tok.text in _TYPE_STARTERS:
-                return self._parse_local_decl()
+            stmt: Stmt = self._parse_compound()
+        elif tok.kind is TokenKind.KEYWORD and tok.text in _STATEMENT_PARSERS:
+            stmt = _STATEMENT_PARSERS[tok.text](self)
+        elif tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_STARTERS:
+            stmt = self._parse_local_decl()
+        elif tok.kind is TokenKind.KEYWORD:
             raise ParseError(f"unexpected '{tok.text}'", tok.span)
-        if tok.kind is TokenKind.IDENT and tok.text in _UNSUPPORTED_WORDS:
+        elif tok.kind is TokenKind.IDENT and tok.text in _UNSUPPORTED_WORDS:
             raise ParseError(f"unsupported construct '{tok.text}'", tok.span)
-        if tok.kind is TokenKind.PUNCT and tok.text == ";":
+        elif tok.kind is TokenKind.PUNCT and tok.text == ";":
             raise ParseError("expected a statement, found ';'", tok.span)
-        if tok.kind is TokenKind.DIRECTIVE:
+        elif tok.kind is TokenKind.DIRECTIVE:
             raise ParseError("directives are only allowed at the top level", tok.span)
+        else:
+            stmt = self._parse_expr_stmt()
+        self.depth -= 1
+        return stmt
+
+    def _parse_expr_stmt(self) -> ExprStmt:
         expr = self.parse_expression()
         end = self.expect_punct(";")
-        return ExprStmt(_convert_incr(expr), span=_expr_span(expr).merge(end.span))
+        return ExprStmt(self._convert_incr(expr), span=expr.span.merge(end.span))
 
     def _parse_if(self) -> If:
         start = self.advance()
@@ -386,20 +403,17 @@ class _Parser:
         init: Stmt | None = None
         if not self.check_punct(";"):
             tok = self.peek()
-            assert tok is not None
-            if tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_STARTERS:
+            if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_STARTERS:
                 init = self._parse_local_decl()  # consumes the ';'
             else:
-                expr = self.parse_expression()
-                end = self.expect_punct(";")
-                init = ExprStmt(_convert_incr(expr), span=_expr_span(expr).merge(end.span))
+                init = self._parse_expr_stmt()
         else:
             self.expect_punct(";")
         cond = None if self.check_punct(";") else self.parse_expression()
         self.expect_punct(";")
         step = None
         if not self.check_punct(")"):
-            step = _convert_incr(self.parse_expression())
+            step = self._convert_incr(self.parse_expression())
         self.expect_punct(")")
         body = self._parse_stmt()
         return For(init, cond, step, body, span=start.span.merge(body.span))
@@ -417,25 +431,14 @@ class _Parser:
         assert start is not None
         ctype = self._parse_type()
         name_tok = self.expect_ident("a variable name")
-        if ctype.base is BaseType.VOID and ctype.pointer_depth == 0:
-            raise ParseError("variables cannot have type void", name_tok.span)
-        init = None
-        if self.accept_punct("="):
-            init = self.parse_expression()
-        if self.check_punct(","):
-            raise ParseError("one declarator per declaration", self.peek().span)  # type: ignore[union-attr]
-        if self.check_punct("["):
-            raise ParseError("arrays are not supported", self.peek().span)  # type: ignore[union-attr]
-        end = self.expect_punct(";")
-        return LocalDecl(name_tok.text, ctype, init, span=start.span.merge(end.span))
+        init, span = self._parse_var_rest(start, ctype, name_tok)
+        return LocalDecl(name_tok.text, ctype, init, span=span)
 
     # expressions ----------------------------------------------------------
 
     def parse_expression(self) -> Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> Expr:
-        lhs = self._parse_binary(0)
+        """An assignment expression; assignment is right-associative."""
+        lhs = self._parse_binary(1)
         tok = self.peek()
         if tok is not None and tok.kind is TokenKind.PUNCT:
             if tok.text in _REJECTED_ASSIGN_OPS:
@@ -443,47 +446,63 @@ class _Parser:
             if tok.text in _ASSIGN_OPS:
                 self.advance()
                 _require_lvalue(lhs, tok.span)
-                value = self._parse_assignment()
-                return Assign(tok.text, lhs, value, span=_expr_span(lhs).merge(_expr_span(value)))
+                self._nest(tok)
+                value = self.parse_expression()
+                self.depth -= 1
+                return Assign(tok.text, lhs, value, span=lhs.span.merge(value.span))
             if tok.text == "?":
                 raise ParseError("the conditional operator '?:' is not supported", tok.span)
         return lhs
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        expr = self._parse_binary(level + 1)
+    def _parse_binary(self, min_precedence: int) -> Expr:
+        """Precedence climbing: fold operators binding at least `min_precedence`."""
+        expr = self._parse_unary()
+        depth = self.depth
         while True:
             tok = self.peek()
-            if tok is None or tok.kind is not TokenKind.PUNCT or tok.text not in ops:
+            precedence = _BINARY_PRECEDENCE.get(tok.text, 0) if tok is not None else 0
+            if precedence < min_precedence:
+                self.depth = depth
                 return expr
             self.advance()
-            rhs = self._parse_binary(level + 1)
-            expr = Binary(tok.text, expr, rhs, span=_expr_span(expr).merge(_expr_span(rhs)))
+            # a left-associative chain grows the tree one level per operator
+            self._nest(tok)
+            rhs = self._parse_binary(precedence + 1)
+            expr = Binary(tok.text, expr, rhs, span=expr.span.merge(rhs.span))
 
     def _parse_unary(self) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected an expression, found end of input", self._eof_span())
-        if tok.kind is TokenKind.PUNCT and tok.text in ("++", "--"):
+        if tok.kind is not TokenKind.PUNCT:
+            return self._parse_postfix()
+        if tok.text in ("++", "--"):
             self.advance()
-            operand = self._parse_unary()
+            operand = self._parse_operand(tok)
             _require_lvalue(operand, tok.span)
-            return _IncrDecr(tok.text, operand, span=tok.span.merge(_expr_span(operand)))
-        if tok.kind is TokenKind.PUNCT and tok.text in _UNARY_OPS:
+            expr: Expr = _IncrDecr(tok.text, operand, span=tok.span.merge(operand.span))
+            self.stray_incr.add(expr)
+            return expr
+        if tok.text in _UNARY_OPS:
             self.advance()
-            operand = self._parse_unary()
-            return Unary(_UNARY_OPS[tok.text], operand, span=tok.span.merge(_expr_span(operand)))
-        if tok.kind is TokenKind.PUNCT and tok.text == "(" and self._is_cast_ahead():
+            operand = self._parse_operand(tok)
+            return Unary(_UNARY_OPS[tok.text], operand, span=tok.span.merge(operand.span))
+        if tok.text == "(" and self._is_cast_ahead():
             open_tok = self.advance()
             ctype = self._parse_type()
             if ctype.base is BaseType.VOID and ctype.pointer_depth == 0:
                 raise ParseError("cast to void is not supported", open_tok.span)
             self.expect_punct(")")
-            operand = self._parse_unary()
-            return Cast(ctype, operand, span=open_tok.span.merge(_expr_span(operand)))
+            operand = self._parse_operand(open_tok)
+            return Cast(ctype, operand, span=open_tok.span.merge(operand.span))
         return self._parse_postfix()
+
+    def _parse_operand(self, operator: Token) -> Expr:
+        """The operand of a prefix operator or cast, one nesting level down."""
+        self._nest(operator)
+        operand = self._parse_unary()
+        self.depth -= 1
+        return operand
 
     def _is_cast_ahead(self) -> bool:
         nxt = self.peek(1)
@@ -498,7 +517,8 @@ class _Parser:
             if tok.text in ("++", "--"):
                 self.advance()
                 _require_lvalue(expr, tok.span)
-                expr = _IncrDecr(tok.text, expr, span=_expr_span(expr).merge(tok.span))
+                expr = _IncrDecr(tok.text, expr, span=expr.span.merge(tok.span))
+                self.stray_incr.add(expr)
                 continue
             if tok.text == "[":
                 raise ParseError("array indexing is not supported", tok.span)
@@ -519,7 +539,7 @@ class _Parser:
                 raise ParseError(f"unsupported construct '{tok.text}'", tok.span)
             self.advance()
             if self.check_punct("("):
-                self.advance()
+                self._nest(self.advance())
                 args: list[Expr] = []
                 if not self.check_punct(")"):
                     while True:
@@ -527,18 +547,34 @@ class _Parser:
                         if not self.accept_punct(","):
                             break
                 close = self.expect_punct(")")
+                self.depth -= 1
                 return Call(tok.text, args, span=tok.span.merge(close.span))
             return Ident(tok.text, span=tok.span)
         if tok.kind is TokenKind.PUNCT and tok.text == "(":
             open_tok = self.advance()
+            self._nest(open_tok)
             inner = self.parse_expression()
             close = self.expect_punct(")")
+            self.depth -= 1
             return Paren(inner, span=open_tok.span.merge(close.span))
         raise ParseError(f"expected an expression, found '{tok.text}'", tok.span)
 
+    def _convert_incr(self, expr: Expr) -> Expr:
+        """Desugar a whole-statement ++/-- into a compound assignment."""
+        if isinstance(expr, _IncrDecr):
+            self.stray_incr.discard(expr)
+            op = "+=" if expr.op == "++" else "-="
+            one = IntLit(1, "1", span=expr.span)
+            return Assign(op, expr.target, one, span=expr.span)
+        return expr
 
-def _expr_span(expr: Expr) -> SourceSpan:
-    return expr.span
+
+_STATEMENT_PARSERS = {
+    "if": _Parser._parse_if,
+    "while": _Parser._parse_while,
+    "for": _Parser._parse_for,
+    "return": _Parser._parse_return,
+}
 
 
 def _require_lvalue(expr: Expr, at: SourceSpan) -> None:
@@ -550,76 +586,6 @@ def _require_lvalue(expr: Expr, at: SourceSpan) -> None:
     if isinstance(target, Unary) and target.op == "deref":
         return
     raise ParseError("assignment target must be a variable or dereference", at)
-
-
-def _convert_incr(expr: Expr) -> Expr:
-    """Desugar a whole-statement ++/-- into a compound assignment."""
-    if isinstance(expr, _IncrDecr):
-        op = "+=" if expr.op == "++" else "-="
-        one = IntLit(1, "1", span=expr.span)
-        return Assign(op, expr.target, one, span=expr.span)
-    return expr
-
-
-def _reject_leftover_incr(unit: TranslationUnit) -> None:
-    for node, span in _walk_exprs(unit):
-        if isinstance(node, _IncrDecr):
-            raise ParseError("'++'/'--' are only allowed as standalone statements", span)
-
-
-def _walk_exprs(unit: TranslationUnit):
-    def from_expr(e: Expr):
-        yield e, e.span
-        if isinstance(e, Unary):
-            yield from from_expr(e.operand)
-        elif isinstance(e, Binary):
-            yield from from_expr(e.lhs)
-            yield from from_expr(e.rhs)
-        elif isinstance(e, Assign):
-            yield from from_expr(e.target)
-            yield from from_expr(e.value)
-        elif isinstance(e, Call):
-            for a in e.args:
-                yield from from_expr(a)
-        elif isinstance(e, (Cast, Paren)):
-            yield from from_expr(e.operand if isinstance(e, Cast) else e.inner)
-        elif isinstance(e, _IncrDecr):
-            yield from from_expr(e.target)
-
-    def from_stmt(s: Stmt):
-        if isinstance(s, Compound):
-            for inner in s.stmts:
-                yield from from_stmt(inner)
-        elif isinstance(s, ExprStmt):
-            yield from from_expr(s.expr)
-        elif isinstance(s, If):
-            yield from from_expr(s.cond)
-            yield from from_stmt(s.then_branch)
-            if s.else_branch is not None:
-                yield from from_stmt(s.else_branch)
-        elif isinstance(s, While):
-            yield from from_expr(s.cond)
-            yield from from_stmt(s.body)
-        elif isinstance(s, For):
-            if s.init is not None:
-                yield from from_stmt(s.init)
-            if s.cond is not None:
-                yield from from_expr(s.cond)
-            if s.step is not None:
-                yield from from_expr(s.step)
-            yield from from_stmt(s.body)
-        elif isinstance(s, Return) and s.value is not None:
-            yield from from_expr(s.value)
-        elif isinstance(s, LocalDecl) and s.init is not None:
-            yield from from_expr(s.init)
-
-    for item in unit.items:
-        if isinstance(item, FunctionDef):
-            yield from from_stmt(item.body)
-        elif isinstance(item, GlobalDecl) and item.init is not None:
-            yield from from_expr(item.init)
-        elif isinstance(item, MacroConst):
-            yield from from_expr(item.value_expr)
 
 
 def _validate_macro_expr(expr: Expr) -> None:

@@ -14,21 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 from halgen import __version__
 from halgen.errors import HalgenError
-from halgen.analysis import (
-    ConflictingArity,
-    DuplicateDefinition,
-    ElementKind,
-    build_symbol_table,
-    detect_missing,
-    load_project,
-)
-from halgen.c_ast import LexError, ParseError, pretty_print
+from halgen.analysis import ElementKind, build_symbol_table, detect_missing, load_project
+from halgen.c_ast import pretty_print
 from halgen.completion import CompletionLimits, complete
 from halgen.config import Config, ConfigFileError, default_scenario_path, load_config
 from halgen.experiment import EXPERIMENT_KINDS, make_backend, run_experiment
@@ -113,26 +107,8 @@ def _resolve_config(args) -> Config:
     return config
 
 
-def _load_project_or_report(project_dir: str):
-    try:
-        return load_project(project_dir), None
-    except (ParseError, LexError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None, EXIT_ERROR
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None, EXIT_ERROR
-
-
 def _cmd_analyze(args, config: Config) -> int:
-    project, failure = _load_project_or_report(args.project_dir)
-    if project is None:
-        return failure
-    try:
-        missing = detect_missing(build_symbol_table(project))
-    except (DuplicateDefinition, ConflictingArity) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    missing = detect_missing(build_symbol_table(load_project(args.project_dir)))
     for elem in missing:
         where = f"{elem.first_ref_span.file_id}:{elem.first_ref_span.start_line}:{elem.first_ref_span.start_col}"
         if elem.kind is ElementKind.FUNCTION:
@@ -143,25 +119,16 @@ def _cmd_analyze(args, config: Config) -> int:
 
 
 def _cmd_index(args, config: Config) -> int:
-    project, failure = _load_project_or_report(args.project_dir)
-    if project is None:
-        return failure
-    snippets = chunk_codebase(project)
+    snippets = chunk_codebase(load_project(args.project_dir))
     index = build_index(snippets)
-    try:
-        save_index(index, args.index_path)
-        save_snippets(snippets, str(args.index_path) + ".snippets")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    save_index(index, args.index_path)
+    save_snippets(snippets, str(args.index_path) + ".snippets")
     print(f"indexed {len(snippets)} snippets")
     return EXIT_OK
 
 
 def _cmd_complete(args, config: Config) -> int:
-    project, failure = _load_project_or_report(args.project_dir)
-    if project is None:
-        return failure
+    project = load_project(args.project_dir)
     snippets = chunk_codebase(project)
     index = build_index(snippets)
     backend = make_backend(config)
@@ -188,20 +155,29 @@ def _cmd_complete(args, config: Config) -> int:
 
 
 def _run_compile_gate(command: str, project_dir: str) -> dict[str, int]:
+    """Run `command` once per source file, without a shell.
+
+    The command is split like a shell command line, then `{file}` is
+    replaced inside each argument, so a path stays exactly one argument.
+    """
+    try:
+        argv = shlex.split(command)
+    except ValueError as err:
+        raise ConfigError("--compile-cmd", str(err)) from None
+    if not argv:
+        raise ConfigError("--compile-cmd", "empty command")
     codes: dict[str, int] = {}
     for path in sorted(Path(project_dir).iterdir()):
         if path.suffix not in (".c", ".h"):
             continue
-        proc = subprocess.run(command.replace("{file}", str(path)), shell=True,
+        proc = subprocess.run([arg.replace("{file}", str(path)) for arg in argv],
                               capture_output=True)
         codes[path.name] = proc.returncode
     return codes
 
 
 def _cmd_simulate(args, config: Config) -> int:
-    project, failure = _load_project_or_report(args.project_dir)
-    if project is None:
-        return failure
+    project = load_project(args.project_dir)
     board = load_board_map(config.board_map_path)
     scenario = load_scenario(args.scenario_path, board)
     try:

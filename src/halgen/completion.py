@@ -252,8 +252,7 @@ def insert_patch(project: Project, patch: VettedPatch) -> Project:
         merged = parse(merged_text, hal.file_id)
     except (ParseError, LexError) as err:
         raise InternalError(f"inserted patch for '{patch.name}' broke the unit: {err}") from err
-    units = tuple(merged if u.file_id == hal.file_id else u for u in project.units)
-    return Project(units, project.hal_unit_id)
+    return project.with_hal_unit(merged)
 
 
 def delete_element(project: Project, name: str) -> Project:
@@ -266,9 +265,7 @@ def delete_element(project: Project, name: str) -> Project:
     kept = [item for item in hal.items if item_name(item) != name]
     if len(kept) == len(hal.items):
         raise NotInHalUnit(f"'{name}' is defined outside the HAL unit and cannot be deleted")
-    new_hal = TranslationUnit(kept, hal.file_id)
-    units = tuple(new_hal if u.file_id == hal.file_id else u for u in project.units)
-    return Project(units, project.hal_unit_id)
+    return project.with_hal_unit(TranslationUnit(kept, hal.file_id))
 
 
 def delete_all_hal(project: Project) -> tuple[Project, list[str]]:
@@ -280,5 +277,4 @@ def delete_all_hal(project: Project) -> tuple[Project, list[str]]:
     deleted = [item_name(item) for item in hal.items if item_name(item) is not None]
     kept = [item for item in hal.items if isinstance(item, IncludeDirective)]
     new_hal = TranslationUnit(kept, hal.file_id)
-    units = tuple(new_hal if u.file_id == hal.file_id else u for u in project.units)
-    return Project(units, project.hal_unit_id), [n for n in deleted if n is not None]
+    return project.with_hal_unit(new_hal), [n for n in deleted if n is not None]

@@ -196,23 +196,38 @@ class Scenario:
 def load_scenario(path: str | Path, board: BoardMap | None = None) -> Scenario:
     """Load a scenario JSON file.
 
-    `expected_registers` entries are [address, value] pairs; the address
-    may also be a "PERIPHERAL.REGISTER" name when a board map is given.
-    `expected_log` is a JSON string, UTF-8 encoded to bytes.
+    The top level is an object. `gpio_inputs` maps "PERIPHERAL:PIN" keys
+    to lists of input bits. `expected_registers` entries are [address,
+    value] pairs; the address may also be a "PERIPHERAL.REGISTER" name when
+    a board map is given. `expected_log` is a JSON string holding one byte
+    per character, latin-1 encoded: "\\u00ff" is the byte 0xFF, and a
+    character above U+00FF is a ConfigError, as is any malformed field.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(str(path), "top level must be an object")
+    raw_inputs = data.get("gpio_inputs", {})
+    if not isinstance(raw_inputs, dict):
+        raise ConfigError("gpio_inputs", "expected an object")
     gpio_inputs: dict[tuple[str, int], list[int]] = {}
-    for key, bits in data.get("gpio_inputs", {}).items():
+    for key, bits in raw_inputs.items():
         periph, _, pin = key.partition(":")
-        if not pin:
-            raise ConfigError(f"gpio_inputs[{key}]", 'keys must look like "GPIOA:5"')
-        gpio_inputs[(periph, int(pin))] = [_num(b, f"gpio_inputs[{key}]") for b in bits]
+        try:
+            pin_index = int(pin)
+        except ValueError:
+            raise ConfigError(f"gpio_inputs[{key}]", 'keys must look like "GPIOA:5"') from None
+        if not isinstance(bits, list):
+            raise ConfigError(f"gpio_inputs[{key}]", "expected a list of input bits")
+        gpio_inputs[(periph, pin_index)] = [_num(b, f"gpio_inputs[{key}]") for b in bits]
+    raw_registers = data.get("expected_registers", [])
+    if not isinstance(raw_registers, list):
+        raise ConfigError("expected_registers", "expected a list")
     expected_registers = []
-    for i, entry in enumerate(data.get("expected_registers", [])):
+    for i, entry in enumerate(raw_registers):
         where = f"expected_registers[{i}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ConfigError(where, "expected [address, value]")
@@ -228,9 +243,15 @@ def load_scenario(path: str | Path, board: BoardMap | None = None) -> Scenario:
         else:
             address = _num(target, where)
         expected_registers.append((address & 0xFFFFFFFF, _num(value, where) & 0xFFFFFFFF))
+    log_text = str(data.get("expected_log", ""))
+    try:
+        expected_log = log_text.encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise ConfigError("expected_log", f"character {log_text[exc.start]!r} at index "
+                          f"{exc.start} is above U+00FF, not a byte") from None
     return Scenario(
         gpio_inputs=gpio_inputs,
-        expected_log=str(data.get("expected_log", "")).encode("utf-8"),
+        expected_log=expected_log,
         expected_registers=expected_registers,
         fuel_limit=_num(data.get("fuel_limit", DEFAULT_FUEL_LIMIT), "fuel_limit"),
     )

@@ -1,0 +1,184 @@
+"""Property and regression tests for the lexer and parser on hostile input.
+
+The lexer may fail only with LexError and the parser only with LexError or
+ParseError, whatever the text. Nesting up to MAX_NESTING levels must pass
+through every recursive stage; one level more is a positioned ParseError.
+"""
+
+import re
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from halgen.analysis import Project, build_symbol_table, detect_missing
+from halgen.c_ast import LexError, ParseError, lex, parse, pretty_print
+from halgen.c_ast.parser import MAX_NESTING
+from halgen.cli import main
+from halgen.generation import Rejection, VettedPatch, vet_patch
+from halgen.retrieval import embed
+from halgen.simulate import Scenario, exec_program
+
+FRAGMENTS = [
+    "int", "uint8_t", "uint32_t", "void", "volatile", "unsigned", "if", "else",
+    "while", "for", "return", "x", "y", "_f1", "(", ")", "{", "}", ";", ",", "=",
+    "+=", "<<=", "++", "--", "+", "-", "*", "&", "~", "!", "<<", ">>", "|", "^",
+    "&&", "||", "==", "<", "?", "[", "->", "0", "42", "0x1F", "0x", "9z",
+    "#define", "#include <a.h>", "#pragma", "/*", "*/", "//", "\n", " ", "\t",
+    "@", "\"", "²", "٣", "é",
+]
+
+c_like_text = st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(" ".join)
+hostile_text = st.one_of(st.text(max_size=80), c_like_text)
+
+DEEP_PARENS = "int x = " + "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1) + ";"
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_text)
+@example("1²")
+@example("0x1٣")
+@example("1" * 5000)
+@example("(" * (MAX_NESTING + 1))
+def test_lex_raises_only_lex_error(text):
+    try:
+        lex(text)
+    except LexError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_text)
+@example("1²")
+@example(DEEP_PARENS)
+@example("void f(void) { " + "x = " * 1000 + "1; }")
+@example("int x = " + "+".join(["1"] * 3000) + ";")
+@example("void f(void) { " + "if (x) " * 1000 + "x; }")
+@example("void f(void) { if (x)")
+def test_parse_raises_only_lex_or_parse_error(text):
+    try:
+        parse(text)
+    except (LexError, ParseError):
+        pass
+
+
+_SKIPPED = re.compile(r"(?:[ \t\r\f\v\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+
+lexable_text = st.lists(
+    st.sampled_from([f for f in FRAGMENTS if f not in ("/*", "@", "\"", "0x", "9z",
+                                                         "#pragma", "²", "٣", "é")]
+                    + ["/* c */", "/* a\nb */", "// c\n", "\r\n"]),
+    max_size=40,
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexable_text)
+def test_tokens_and_skipped_text_cover_generated_source(source):
+    try:
+        tokens = lex(source)
+    except LexError:
+        return  # e.g. a directive after code on its line
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    pos = 0
+    for tok in tokens:
+        start = line_starts[tok.span.start_line - 1] + tok.span.start_col - 1
+        assert _SKIPPED.fullmatch(source, pos, start), repr(source[pos:start])
+        assert source[start:start + len(tok.text)] == tok.text
+        pos = start + len(tok.text)
+    assert _SKIPPED.fullmatch(source, pos)
+
+
+@pytest.mark.parametrize("source", [
+    "void f(void) { if (x)",
+    "void f(void) { if (x) x; else",
+    "void f(void) { while (x)",
+    "void f(void) { for (;;)",
+    "void f(void) { for (",
+])
+def test_truncated_statement_is_a_parse_error_at_the_end(source):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert "end of input" in err.value.message
+    assert err.value.span.end_col == len(source)
+
+
+# --- the nesting limit ------------------------------------------------------------
+
+def _expression(shape, depth):
+    """An expression whose parse opens exactly `depth` nesting levels."""
+    return {
+        "parens": "(" * depth + "1" + ")" * depth,
+        "unary": "~" * depth + "1",
+        "cast": "(uint32_t)" * depth + "1",
+        "call": "f(" * depth + "1" + ")" * depth,
+        "chain": " + ".join(["1"] * (depth + 1)),
+        "assign": "x = " * depth + "1",
+    }[shape]
+
+
+def _deep_function(shape, depth):
+    """`uint32_t deep(void)` whose body reaches `depth` nesting levels."""
+    if shape == "if":
+        body = "if (1) " * (depth - 1) + "return 1;"
+    elif shape == "block":
+        body = "{ " * (depth - 1) + "return 1;" + " }" * (depth - 1)
+    elif shape == "else-if":
+        body = "if (x) x; " + "else if (x) x; " * (depth - 2) + "else return 1;"
+    else:  # the return statement is the first level
+        body = f"return {_expression(shape, depth - 1)};"
+    return f"uint32_t deep(void) {{ {body} return 0; }}\n"
+
+
+SHAPES = ["parens", "unary", "cast", "call", "chain", "assign", "if", "block", "else-if"]
+
+MAIN = "uint32_t x;\nuint32_t f(uint32_t a) { return a; }\nvoid main(void) { x = deep(); }\n"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_stage_handles_the_nesting_limit(shape, board):
+    deep_text = _deep_function(shape, MAX_NESTING)
+    unit = parse(deep_text, "hal.c")
+    assert parse(pretty_print(unit), "hal.c") == unit
+    app = parse(MAIN, "main.c")
+    table = build_symbol_table(Project((app,), "main.c"))
+    (elem,) = detect_missing(table)
+    assert isinstance(vet_patch(deep_text, elem, table), VettedPatch)
+    assert embed(deep_text)
+    project = Project((unit, app), "hal.c")
+    assert not detect_missing(build_symbol_table(project))
+    state, _ = exec_program(project, board, Scenario())
+    assert state.steps_used > MAX_NESTING
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_level_past_the_limit_is_a_positioned_parse_error(shape, tmp_path, capsys):
+    deep_text = _deep_function(shape, MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse(deep_text, "hal.c")
+    assert "nesting deeper than" in err.value.message
+    assert err.value.span.file_id == "hal.c"
+    assert err.value.span.start_line == 1 and err.value.span.start_col > 1
+    app = parse(MAIN, "main.c")
+    table = build_symbol_table(Project((app,), "main.c"))
+    (elem,) = detect_missing(table)
+    assert vet_patch(deep_text, elem, table) == Rejection(["ParseFailed"])
+    (tmp_path / "hal.c").write_text(deep_text, encoding="utf-8")
+    (tmp_path / "main.c").write_text(MAIN, encoding="utf-8")
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_macro_past_the_limit_makes_analyze_exit_1(tmp_path, capsys):
+    (tmp_path / "hal.c").write_text(
+        "#define X " + "(" * 100 + "1" + ")" * 100 + "\n", encoding="utf-8")
+    assert main(["analyze", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hal.c:1:")
+    assert "nesting deeper than" in err and "Traceback" not in err
+
+
+def test_non_ascii_digit_makes_analyze_exit_1(tmp_path, capsys):
+    (tmp_path / "hal.c").write_text("uint32_t x = 1²;\n", encoding="utf-8")
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: hal.c:1:15: unexpected character '²'\n"

@@ -1,0 +1,144 @@
+"""Untrusted input must end in a documented exit code or a ConfigError.
+
+Covers the scenario loader, the compile gate's argument handling, and a
+hypothesis fuzz of the CLI subcommands on generated project files.
+"""
+
+import json
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from halgen.analysis import load_project
+from halgen.c_ast import print_item
+from halgen.cli import main
+from halgen.config import default_project_path, default_scenario_path
+from halgen.simulate import ConfigError, load_scenario
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+# --- scenario loader -----------------------------------------------------------------
+
+def test_expected_log_is_latin1_one_byte_per_character(tmp_path):
+    path = write_json(tmp_path / "s.json", {"expected_log": "\u00ffA\u0080"})
+    assert load_scenario(path).expected_log == b"\xffA\x80"
+
+
+def test_expected_log_character_above_ff_is_config_error(tmp_path):
+    path = write_json(tmp_path / "s.json", {"expected_log": "ok\u20ac"})
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert err.value.field_path == "expected_log"
+    assert "index 2" in str(err.value)
+
+
+@pytest.mark.parametrize("data, field", [
+    ([1, 2], "s.json"),
+    ({"gpio_inputs": [["GPIOA:5", [1]]]}, "gpio_inputs"),
+    ({"gpio_inputs": {"GPIOA:x": [1]}}, "gpio_inputs[GPIOA:x]"),
+    ({"gpio_inputs": {"GPIOA:5": 1}}, "gpio_inputs[GPIOA:5]"),
+    ({"expected_registers": 5}, "expected_registers"),
+])
+def test_malformed_scenario_is_config_error(tmp_path, data, field):
+    path = write_json(tmp_path / "s.json", data)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert err.value.field_path.endswith(field)
+
+
+def test_malformed_scenario_exits_64(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", [1, 2])
+    code = main(["simulate", str(default_project_path()), str(path),
+                 "--out", str(tmp_path / "v.json")])
+    assert code == 64
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- compile gate ------------------------------------------------------------------
+
+RECORD_ARGV = "import json, sys\nopen(sys.argv[1], 'a').write(json.dumps(sys.argv[2:]) + '\\n')\n"
+
+
+def test_compile_gate_passes_each_path_as_one_argument(tmp_path, monkeypatch):
+    project = tmp_path / "my proj; touch injected;"
+    project.mkdir()
+    for source in default_project_path().iterdir():
+        if source.suffix == ".c":
+            (project / source.name).write_bytes(source.read_bytes())
+    script = tmp_path / "record.py"
+    script.write_text(RECORD_ARGV, encoding="utf-8")
+    log = tmp_path / "argv.jsonl"
+    command = " ".join(shlex.quote(str(a)) for a in (sys.executable, script, log)) + " {file}"
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "verdict.json"
+    assert main(["simulate", str(project), str(default_scenario_path()),
+                 "--out", str(out), "--compile-cmd", command]) == 0
+    calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert calls == [[str(project / "hal.c")], [str(project / "main.c")]]
+    assert json.loads(out.read_text())["compile_exit_codes"] == {"hal.c": 0, "main.c": 0}
+    assert not list(tmp_path.rglob("injected"))
+
+
+@pytest.mark.parametrize("command", ['cc "{file}', "   "])
+def test_malformed_compile_command_exits_64(tmp_path, command, capsys):
+    code = main(["simulate", str(default_project_path()), str(default_scenario_path()),
+                 "--out", str(tmp_path / "v.json"), "--compile-cmd", command])
+    assert code == 64
+    assert capsys.readouterr().err.startswith("error: --compile-cmd: ")
+
+
+# --- CLI fuzz ------------------------------------------------------------------------
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5, 64}
+
+DEMO_HAL = load_project(default_project_path()).hal_unit()
+DEMO_HAL_ITEMS = [print_item(item) for item in DEMO_HAL.items]
+DEMO_MAIN = (default_project_path() / "main.c").read_text(encoding="utf-8")
+
+NOISE = ["", "}", "{", ";", "(", "x", "1", "++", "--", "return", "while (1) { }",
+         "#define", "int", "@", "0x", "²", "(" * 80, "uint32_t USART2_BASE = 1;"]
+
+
+@st.composite
+def hal_sources(draw):
+    """The demo HAL with items dropped and noise inserted, or arbitrary text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=60))
+    keep = draw(st.lists(st.booleans(), min_size=len(DEMO_HAL_ITEMS),
+                         max_size=len(DEMO_HAL_ITEMS)))
+    chunks = [item for item, kept in zip(DEMO_HAL_ITEMS, keep) if kept]
+    for _ in range(draw(st.integers(0, 2))):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(st.sampled_from(NOISE)))
+    return "\n".join(chunks) + "\n"
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hal_sources())
+def test_cli_subcommands_exit_with_documented_codes(hal_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        project = tmp / "proj"
+        project.mkdir()
+        (project / "hal.c").write_text(hal_text, encoding="utf-8")
+        (project / "main.c").write_text(DEMO_MAIN, encoding="utf-8")
+        scenario = json.loads(default_scenario_path().read_text(encoding="utf-8"))
+        scenario["fuel_limit"] = 20000  # a diverging mutant stops quickly
+        scenario_path = write_json(tmp / "scenario.json", scenario)
+        completed = tmp / "out"
+        for argv in (["analyze", project], ["index", project, tmp / "index.json"],
+                     ["complete", project, completed]):
+            assert main([str(a) for a in argv]) in DOCUMENTED_EXIT_CODES, argv
+        # the completed project when there is one, to reach a verdict
+        target = completed if completed.exists() else project
+        argv = ["simulate", target, scenario_path, "--out", tmp / "verdict.json"]
+        assert main([str(a) for a in argv]) in DOCUMENTED_EXIT_CODES, argv
