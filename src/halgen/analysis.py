@@ -33,6 +33,7 @@ from halgen.c_ast import (
     Return,
     SourceSpan,
     Stmt,
+    TopLevelItem,
     TranslationUnit,
     Unary,
     While,
@@ -156,18 +157,13 @@ def build_symbol_table(project: Project) -> SymbolTable:
     definitions: dict[str, Definition] = {}
     for unit in project.units:
         for item in unit.items:
-            if isinstance(item, FunctionDef):
-                kind = ElementKind.FUNCTION
-                signature = Signature(item.return_type, [p.ctype for p in item.params])
-            elif isinstance(item, GlobalDecl):
-                kind, signature = ElementKind.GLOBAL, None
-            elif isinstance(item, MacroConst):
-                kind, signature = ElementKind.CONSTANT, None
-            else:
+            definition = definition_of(item)
+            if definition is None:
                 continue
-            if item.name in definitions:
-                raise DuplicateDefinition(item.name, [definitions[item.name].span, item.span])
-            definitions[item.name] = Definition(item.name, kind, item.span, signature)
+            name = definition.name
+            if name in definitions:
+                raise DuplicateDefinition(name, [definitions[name].span, item.span])
+            definitions[name] = definition
 
     references: dict[str, list[Reference]] = {}
     for unit in project.units:
@@ -178,6 +174,18 @@ def build_symbol_table(project: Project) -> SymbolTable:
     for refs in references.values():
         refs.sort(key=lambda r: (unit_order.get(r.span.file_id, 0), r.span.start_line, r.span.start_col))
     return SymbolTable(definitions, references, unit_order)
+
+
+def definition_of(item: TopLevelItem) -> Definition | None:
+    """The definition a top-level item makes; None for an include."""
+    if isinstance(item, FunctionDef):
+        signature = Signature(item.return_type, [p.ctype for p in item.params])
+        return Definition(item.name, ElementKind.FUNCTION, item.span, signature)
+    if isinstance(item, GlobalDecl):
+        return Definition(item.name, ElementKind.GLOBAL, item.span)
+    if isinstance(item, MacroConst):
+        return Definition(item.name, ElementKind.CONSTANT, item.span)
+    return None
 
 
 def collect_external_references(unit: TranslationUnit) -> list[Reference]:
@@ -332,6 +340,16 @@ def token_similarity(a: str, b: str) -> float:
 
 
 def _levenshtein(a: list[str], b: list[str]) -> int:
+    # A shared prefix or suffix never changes the distance, and a
+    # regenerated element often differs from its original in a few tokens.
+    start = 0
+    while start < len(a) and start < len(b) and a[start] == b[start]:
+        start += 1
+    end_a, end_b = len(a), len(b)
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))

@@ -17,6 +17,7 @@ from halgen.analysis import (
     MissingElement,
     Project,
     build_symbol_table,
+    definition_of,
     detect_missing,
     infer_signature,
 )
@@ -93,14 +94,13 @@ class CompletionReport:
 
 def _retrieve_context(
     index: VectorIndex,
-    snippets: list[Snippet],
+    by_id: dict[int, Snippet],
     elem: MissingElement,
     k: int,
 ) -> list[Snippet]:
     if not index.entries or k < 1:
         return []
     query = embed(" ".join([elem.name] + elem.sample_args))
-    by_id = {s.id: s for s in snippets}
     try:
         ranked = search(index, query, k)
     except EmptyIndex:
@@ -146,6 +146,7 @@ def complete(
     base_policy = policy or VetPolicy()
     report = CompletionReport()
     failed: dict[str, list[str]] = {}
+    snippets_by_id = {s.id: s for s in snippets}
 
     current = project
     while report.iterations_used < limits.max_iterations:
@@ -164,14 +165,13 @@ def complete(
             if report.total_calls >= limits.max_calls:
                 failed.setdefault(elem.name, ["limit:max_calls"])
                 continue
-            table = build_symbol_table(current)
             vet_policy = replace(
                 base_policy,
                 allowed_external_names=frozenset(base_policy.allowed_external_names)
                 | set(table.definitions) | pending_names,
             )
             signature = infer_signature(elem) if elem.kind is ElementKind.FUNCTION else None
-            retrieved = _retrieve_context(index, snippets, elem, retrieval_k)
+            retrieved = _retrieve_context(index, snippets_by_id, elem, retrieval_k)
             prompt = build_prompt(elem, signature, retrieved, template)
             rejections = 0
             outcome: VettedPatch | None = None
@@ -200,6 +200,13 @@ def complete(
                 failed[elem.name] = reasons
                 continue
             current = insert_patch(current, outcome)
+            # Vetting reads only the table's definition names, so the round's
+            # table is kept and given the patch's names (their spans are the
+            # patch's own until the next build) instead of being rebuilt.
+            for item in outcome.items:
+                if item.name in table.definitions:
+                    build_symbol_table(current)  # raises DuplicateDefinition, as a rebuild would
+                table.definitions[item.name] = definition_of(item)
             report.inserted.append(
                 (elem.name, elem.kind.value, result.backend_id, rejections))
             progress = True

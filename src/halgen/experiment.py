@@ -112,6 +112,19 @@ def run_experiment(
     deletable = [item_name(i) for i in hal.items if item_name(i) is not None]
     originals = {item_name(i): print_item(i) for i in hal.items if item_name(i) is not None}
 
+    kb: KnowledgeBase | None = None
+
+    def new_backend():
+        # One KB parse per run, one backend (and call count) per iteration.
+        # A load that raises is retried by the next iteration, so each
+        # iteration records its own error, as with a load per iteration.
+        nonlocal kb
+        if config.backend != "kb":
+            return make_backend(config)
+        if kb is None:
+            kb = KnowledgeBase.load(config.kb_path)
+        return KbBackend(kb)
+
     rng = random.Random(config.seed)
     report = ExperimentReport(kind, iterations, config.seed)
 
@@ -122,8 +135,8 @@ def run_experiment(
         else:
             deleted = list(deletable)
         try:
-            result = _run_iteration(kind, pristine, deleted, config, board, scenario,
-                                    template, policy, originals)
+            result = _run_iteration(kind, pristine, deleted, config, new_backend(), board,
+                                    scenario, template, policy, originals)
         except Exception as exc:  # keep the remaining iterations running
             result = IterationResult(deleted, 0, False, False, None,
                                      error=f"{type(exc).__name__}: {exc}")
@@ -136,7 +149,7 @@ def run_experiment(
     return report
 
 
-def _run_iteration(kind, pristine: Project, deleted: list[str], config: Config,
+def _run_iteration(kind, pristine: Project, deleted: list[str], config: Config, backend,
                    board, scenario, template, policy, originals) -> IterationResult:
     if kind == "random_deletion":
         mutated = delete_element(pristine, deleted[0])
@@ -145,7 +158,6 @@ def _run_iteration(kind, pristine: Project, deleted: list[str], config: Config,
 
     snippets = chunk_codebase(mutated)
     index = build_index(snippets)
-    backend = make_backend(config)
     completed, completion = complete(
         mutated, backend, index, snippets,
         policy=policy, template=template, retrieval_k=config.retrieval_k)

@@ -12,6 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from halgen.errors import HalgenError
@@ -27,6 +28,9 @@ from halgen.c_ast import (
 )
 
 EMBEDDING_DIM = 256
+# Distinct texts kept by `embed`'s memo. An experiment re-embeds the same
+# few dozen snippets and queries on every iteration; one entry is ~8 kB.
+EMBED_CACHE_SIZE = 256
 
 INDEX_MAGIC = b"HGVI"
 INDEX_VERSION = 1
@@ -122,11 +126,13 @@ def _feature_tokens(text: str) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=EMBED_CACHE_SIZE)
 def embed(text: str) -> Vector:
     """Hashed unigram+bigram token counts, L2-normalized.
 
     Pure function of the text: identical input yields a bit-identical
-    vector. An empty token stream embeds to the zero vector.
+    vector, which is what makes the memo by text exact. An empty token
+    stream embeds to the zero vector.
     """
     tokens = _feature_tokens(text)
     counts = [0.0] * EMBEDDING_DIM

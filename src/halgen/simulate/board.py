@@ -143,9 +143,14 @@ def load_board_map(path: str | Path) -> BoardMap:
         where = f"peripherals[{p_idx}]"
         if not isinstance(raw, dict) or "name" not in raw:
             raise ConfigError(where, "expected an object with a name")
+        raw_registers = raw.get("registers", [])
+        if not isinstance(raw_registers, list):
+            raise ConfigError(f"{where}.registers", "expected a list")
         registers = []
-        for r_idx, reg in enumerate(raw.get("registers", [])):
+        for r_idx, reg in enumerate(raw_registers):
             r_where = f"{where}.registers[{r_idx}]"
+            if not isinstance(reg, dict) or not isinstance(reg.get("name"), str):
+                raise ConfigError(r_where, "expected an object with a string name")
             behavior = reg.get("behavior", "plain")
             if behavior not in BEHAVIORS:
                 raise ConfigError(f"{r_where}.behavior", f"unknown behavior '{behavior}'")
@@ -159,6 +164,8 @@ def load_board_map(path: str | Path) -> BoardMap:
         if raw.get("clock_enable") is not None:
             ce = raw["clock_enable"]
             ce_where = f"{where}.clock_enable"
+            if not isinstance(ce, dict):
+                raise ConfigError(ce_where, "expected an object")
             for key in ("peripheral", "register", "bit"):
                 if key not in ce:
                     raise ConfigError(ce_where, f"missing key '{key}'")

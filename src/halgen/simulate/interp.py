@@ -16,6 +16,7 @@ it saw.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from halgen.errors import HalgenError
@@ -340,6 +341,12 @@ class _Machine:
             pass
         except _Halt:
             pass
+        except RecursionError:
+            # a call costs one Python frame per statement level of its
+            # body, so deep calls of deep statements can exhaust the
+            # interpreter's stack before _MAX_CALL_DEPTH is reached
+            with suppress(_Halt):
+                self.diagnose("error", "call nesting exceeds the interpreter stack", main.span)
 
     def call(self, fn: FunctionDef, args: list[int], span: SourceSpan) -> int:
         if len(args) != len(fn.params):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halgen.analysis import (
     ConflictingArity,
@@ -14,6 +16,7 @@ from halgen.analysis import (
     load_project,
     token_similarity,
 )
+from halgen.analysis import _levenshtein
 from halgen.c_ast import BaseType, CType, SourceSpan, normalize_tokens, parse
 from halgen.completion import delete_element
 
@@ -299,3 +302,16 @@ def test_load_project_hal_unit_defaults(demo_dir, tmp_path):
     assert proj.hal_unit_id == "hal.c"
     (tmp_path / "app.c").write_text("int main(void) { return 0; }\n")
     assert load_project(tmp_path).hal_unit_id == "app.c"
+
+
+token_runs = st.lists(st.sampled_from(["ID", "LIT", "(", ")", ";", "=", "+"]), max_size=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_runs, token_runs, token_runs, token_runs)
+def test_levenshtein_matches_dp_oracle_around_shared_prefix_and_suffix(prefix, a, b, suffix):
+    # the implementation strips a shared prefix and suffix before its DP;
+    # the oracle runs the full matrix
+    x, y = prefix + a + suffix, prefix + b + suffix
+    assert _levenshtein(x, y) == dp_edit_distance(x, y)
+    assert _levenshtein(a, b) == dp_edit_distance(a, b)

@@ -1,6 +1,8 @@
 import pytest
 
+import halgen.completion
 from halgen.analysis import (
+    DuplicateDefinition,
     ElementKind,
     Project,
     build_symbol_table,
@@ -329,3 +331,63 @@ def test_project_invariants_enforced(demo_project):
         Project(units, "not_a_unit.c")
     with pytest.raises(ValueError):
         Project(units + (units[0],), "hal.c")
+
+
+# --- one symbol table per fixed-point round ----------------------------------------
+
+@pytest.fixture()
+def table_builds(monkeypatch):
+    builds = []
+    original = halgen.completion.build_symbol_table
+
+    def counting(project):
+        builds.append(project)
+        return original(project)
+
+    monkeypatch.setattr(halgen.completion, "build_symbol_table", counting)
+    return builds
+
+
+def test_symbol_table_built_once_per_round(demo_project, kb_backend, table_builds):
+    mutated, _ = delete_all_hal(demo_project)
+    _, report = run_complete(mutated, kb_backend)
+    assert report.closed and len(report.inserted) == 12
+    assert len(table_builds) == report.iterations_used == 3
+
+
+def test_symbol_table_builds_with_closing_check(demo_project, kb_backend, table_builds):
+    mutated, _ = delete_all_hal(demo_project)
+    _, report = run_complete(mutated, kb_backend, limits=CompletionLimits(max_calls=5))
+    assert not report.closed
+    assert len(table_builds) == report.iterations_used + 1
+
+
+def test_collision_with_earlier_insert_of_the_round_is_rejected():
+    # FOO_A is inserted first; FOO_B's first patch redefines it and must be
+    # rejected although the round's table was built before FOO_A existed
+    source = "uint32_t a = FOO_A;\nuint32_t b = FOO_B;\n"
+    project = Project((parse(source, "hal.c"),), "hal.c")
+    backend = ScriptedBackend([
+        "#define FOO_A 1\n",
+        "#define FOO_B 2\n#define FOO_A 3\n",
+        "#define FOO_B 2\n",
+    ])
+    _, report = run_complete(project, backend)
+    assert report.closed
+    assert report.inserted == [("FOO_A", "Constant", "scripted", 0),
+                               ("FOO_B", "Constant", "scripted", 1)]
+    assert report.iterations_used == 2
+
+
+def test_duplicate_from_an_insert_of_the_round_is_not_silent():
+    # FOO_B's patch also defines FOO_C, which is still pending in the same
+    # round; inserting FOO_C's own patch duplicates it, and the run stops
+    # with the error a full rebuild reports, before any further generation
+    source = "uint32_t b = FOO_B;\nuint32_t c = FOO_C;\nuint32_t d = FOO_D;\n"
+    project = Project((parse(source, "hal.c"),), "hal.c")
+    backend = ScriptedBackend(["#define FOO_B 1\n#define FOO_C 2\n", "#define FOO_C 3\n"])
+    with pytest.raises(DuplicateDefinition) as err:
+        run_complete(project, backend)
+    assert err.value.name == "FOO_C"
+    assert [s.start_line for s in err.value.spans] == [5, 6]
+    assert backend.calls == 2

@@ -182,3 +182,105 @@ def test_non_ascii_digit_makes_analyze_exit_1(tmp_path, capsys):
     (tmp_path / "hal.c").write_text("uint32_t x = 1²;\n", encoding="utf-8")
     assert main(["analyze", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: hal.c:1:15: unexpected character '²'\n"
+
+
+# --- print/parse round trip on generated programs ----------------------------------
+# insert_patch renders the merged HAL unit and parses it back, so printing
+# must lose nothing the parser keeps.
+
+NAMES = ["a", "b", "reg", "_t1", "GPIOA_BASE"]
+LITERALS = ["0", "7", "255", "0x1F", "0XffffFFFF", "4294967295"]
+TYPES = ["int", "uint8_t", "uint16_t", "uint32_t", "unsigned", "unsigned int",
+         "volatile uint32_t", "uint32_t *", "volatile uint32_t *", "uint8_t **"]
+BINARY_OPS = ["||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=",
+              "<<", ">>", "+", "-", "*", "/", "%"]
+ASSIGN_OPS = ["=", "&=", "|=", "^=", "<<=", ">>=", "+=", "-="]
+
+
+def _expressions(unary_ops, binary_ops, full=True):
+    def extend(inner):
+        forms = [
+            st.tuples(inner, st.sampled_from(binary_ops), inner).map(" ".join),
+            # spaced operators, so the printer has to keep "- -x" apart itself
+            st.tuples(st.sampled_from(unary_ops), inner).map(" ".join),
+            inner.map("({})".format),
+        ]
+        if full:
+            forms.append(st.tuples(st.sampled_from(TYPES), inner).map("({0[0]}) {0[1]}".format))
+            forms.append(st.tuples(st.sampled_from(["f", "g"]), st.lists(inner, max_size=3))
+                         .map(lambda t: f"{t[0]}({', '.join(t[1])})"))
+        return st.one_of(forms)
+
+    return st.recursive(st.sampled_from(NAMES + LITERALS), extend, max_leaves=6)
+
+
+EXPRESSIONS = _expressions(["-", "~", "!", "*", "&"], BINARY_OPS)
+MACRO_EXPRESSIONS = _expressions(["-", "~"], ["+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"],
+                                 full=False)
+optional_expr = st.none() | EXPRESSIONS
+
+
+def _declaration(t):
+    ctype, name, init = t
+    return f"{ctype} {name} = {init}" if init is not None else f"{ctype} {name}"
+
+
+DECLARATIONS = st.tuples(st.sampled_from(TYPES), st.sampled_from(NAMES), optional_expr) \
+    .map(_declaration)
+LVALUES = st.sampled_from(NAMES) | EXPRESSIONS.map("*({})".format)
+ASSIGNMENTS = st.tuples(LVALUES, st.sampled_from(ASSIGN_OPS), EXPRESSIONS).map(" ".join)
+INCREMENTS = st.tuples(st.sampled_from(NAMES), st.sampled_from(["++", "--"]), st.booleans()) \
+    .map(lambda t: t[0] + t[1] if t[2] else t[1] + t[0])
+
+SIMPLE_STATEMENTS = st.one_of(
+    EXPRESSIONS.map("{};".format),
+    ASSIGNMENTS.map("{};".format),
+    INCREMENTS.map("{};".format),
+    DECLARATIONS.map("{};".format),
+    optional_expr.map(lambda e: "return;" if e is None else f"return {e};"),
+)
+
+
+def _compound_statements(inner):
+    for_init = st.sampled_from([""]) | ASSIGNMENTS | DECLARATIONS
+    for_step = st.sampled_from([""]) | ASSIGNMENTS | INCREMENTS
+    return st.one_of(
+        st.lists(inner, max_size=3).map(lambda body: "{ " + " ".join(body) + " }"),
+        st.tuples(EXPRESSIONS, inner).map("if ({0[0]}) {0[1]}".format),
+        st.tuples(EXPRESSIONS, inner, inner).map("if ({0[0]}) {0[1]} else {0[2]}".format),
+        st.tuples(EXPRESSIONS, inner).map("while ({0[0]}) {0[1]}".format),
+        st.tuples(for_init, optional_expr, for_step, inner)
+        .map(lambda t: f"for ({t[0]}; {t[1] or ''}; {t[2]}) {t[3]}"),
+    )
+
+
+STATEMENTS = st.recursive(SIMPLE_STATEMENTS, _compound_statements, max_leaves=8)
+
+
+def _function(t):
+    return_type, name, params, body = t
+    param_text = ", ".join(f"{ctype} {p}" for ctype, p in params) if params else "void"
+    return f"{return_type} {name}({param_text}) {{ {' '.join(body)} }}"
+
+
+TOP_LEVEL_ITEMS = st.one_of(
+    st.sampled_from(["#include <stdint.h>", '#include "hal.h"']),
+    st.tuples(st.sampled_from(["RCC_BASE", "MASK"]), MACRO_EXPRESSIONS)
+    .map("#define {0[0]} {0[1]}".format),
+    DECLARATIONS.map("{};".format),
+    st.tuples(st.sampled_from(["void"] + TYPES), st.sampled_from(["f", "main"]),
+              st.lists(st.tuples(st.sampled_from(TYPES), st.sampled_from(["p", "q", "r"])),
+                       max_size=3, unique_by=lambda param: param[1]),
+              st.lists(STATEMENTS, max_size=4)).map(_function),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TOP_LEVEL_ITEMS, max_size=6).map("\n".join))
+@example("uint32_t x = a - - b & & c / * p + (uint8_t) - - 1;")
+@example("void f(void) { if (a) if (b) a++; else --b; }")
+def test_print_then_parse_round_trips_generated_programs(source):
+    unit = parse(source, "gen.c")
+    printed = pretty_print(unit)
+    assert parse(printed, "gen.c") == unit  # spans are not compared
+    assert pretty_print(parse(printed, "gen.c")) == printed

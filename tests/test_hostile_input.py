@@ -1,6 +1,7 @@
 """Untrusted input must end in a documented exit code or a ConfigError.
 
-Covers the scenario loader, the compile gate's argument handling, and a
+Covers the scenario and board map loaders, the compile gate's argument
+handling, a program too deeply nested for the interpreter's stack, and a
 hypothesis fuzz of the CLI subcommands on generated project files.
 """
 
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 from halgen.analysis import load_project
 from halgen.c_ast import print_item
 from halgen.cli import main
-from halgen.config import default_project_path, default_scenario_path
-from halgen.simulate import ConfigError, load_scenario
+from halgen.config import default_board_map_path, default_project_path, default_scenario_path
+from halgen.simulate import ConfigError, load_board_map, load_scenario
 
 
 def write_json(path, data):
@@ -61,6 +62,63 @@ def test_malformed_scenario_exits_64(tmp_path, capsys):
                  "--out", str(tmp_path / "v.json")])
     assert code == 64
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- board map loader ---------------------------------------------------------------
+
+def board_with(tmp_path, **overrides):
+    """The bundled board map with fields of its GPIOA peripheral replaced."""
+    data = json.loads(default_board_map_path().read_text(encoding="utf-8"))
+    data["peripherals"][1].update(overrides)
+    return write_json(tmp_path / "board.json", data)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"registers": {"MODER": 0}}, "peripherals[1].registers"),
+    ({"registers": [5]}, "peripherals[1].registers[0]"),
+    ({"registers": [{"offset": 0}]}, "peripherals[1].registers[0]"),
+    ({"registers": [{"name": 5, "offset": 0}]}, "peripherals[1].registers[0]"),
+    ({"clock_enable": 5}, "peripherals[1].clock_enable"),
+    ({"clock_enable": "peripheral register bit"}, "peripherals[1].clock_enable"),
+])
+def test_malformed_board_map_is_config_error(tmp_path, overrides, field):
+    with pytest.raises(ConfigError) as err:
+        load_board_map(board_with(tmp_path, **overrides))
+    assert err.value.field_path == field
+
+
+def test_board_map_with_non_object_register_exits_64(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json",
+                        {"board_map_path": str(board_with(tmp_path, registers=[5]))})
+    code = main(["simulate", str(default_project_path()), str(default_scenario_path()),
+                 "--config", str(config), "--out", str(tmp_path / "v.json")])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: peripherals[1].registers[0]: ") and "Traceback" not in err
+
+
+# --- interpreter stack ---------------------------------------------------------------
+
+def test_recursion_too_deep_for_the_stack_fails_the_verdict(tmp_path, capsys):
+    # 64 calls are allowed, but each costs a Python frame per statement
+    # level of its body: 50 ifs deep, the stack runs out first
+    project = tmp_path / "proj"
+    project.mkdir()
+    (project / "hal.c").write_bytes((default_project_path() / "hal.c").read_bytes())
+    app = (default_project_path() / "main.c").read_text(encoding="utf-8")
+    deep = "void f(void) { " + "if (1) " * 50 + "f(); }\n\n"
+    app = app.replace("int main(void) {\n", deep + "int main(void) {\n    f();\n", 1)
+    (project / "main.c").write_text(app, encoding="utf-8")
+    main_line = app.splitlines().index("int main(void) {") + 1
+
+    out = tmp_path / "verdict.json"
+    assert main(["simulate", str(project), str(default_scenario_path()), "--out", str(out)]) == 5
+    verdict = json.loads(out.read_text(encoding="utf-8"))
+    assert not verdict["passed"]
+    assert verdict["diagnostics"] == [{"severity": "error",
+                                       "message": "call nesting exceeds the interpreter stack",
+                                       "where": f"main.c:{main_line}"}]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- compile gate ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from halgen.analysis import Project
 from halgen.c_ast import TokenKind, lex, parse
 from halgen.retrieval import (
+    EMBED_CACHE_SIZE,
     EMBEDDING_DIM,
     EmptyIndex,
     FormatError,
@@ -260,3 +261,26 @@ def test_save_index_rejects_dimension_mismatch(tmp_path):
     bad = VectorIndex([(0, (1.0, 0.0))])  # dimension defaults to 256
     with pytest.raises(ValueError):
         save_index(bad, tmp_path / "bad.idx")
+
+
+# --- the memo by text -----------------------------------------------------------
+
+def test_memoized_embed_matches_oracle_cold_and_warm(kb_snippet_texts):
+    texts = list(kb_snippet_texts.values()) + ["", "set_io_mode GPIOA_BASE 0x20 1"]
+    embed.cache_clear()
+    cold = [embed(text) for text in texts]
+    assert embed.cache_info().hits == 0
+    warm = [embed(text) for text in texts]
+    assert embed.cache_info().hits == len(texts)
+    for text, first, second in zip(texts, cold, warm):
+        assert first == second == oracle_embed(text), text
+        assert second is first  # served from the memo, not recomputed
+
+
+def test_embed_memo_is_bounded():
+    embed.cache_clear()
+    for i in range(EMBED_CACHE_SIZE + 10):
+        embed(f"uint32_t v{i} = {i};")
+    assert embed.cache_info().currsize == EMBED_CACHE_SIZE
+    evicted = "uint32_t v0 = 0;"
+    assert embed(evicted) == oracle_embed(evicted)
