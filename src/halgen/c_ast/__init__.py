@@ -40,7 +40,13 @@ from halgen.c_ast.nodes import (
     item_name,
 )
 from halgen.c_ast.parser import ParseError, parse
-from halgen.c_ast.printer import pretty_print, print_expr, print_item, print_type
+from halgen.c_ast.printer import (
+    layout_items,
+    pretty_print,
+    print_expr,
+    print_item,
+    print_type,
+)
 
 __all__ = [
     "Assign", "BaseType", "Binary", "Call", "Cast", "Compound", "CType",
@@ -48,6 +54,6 @@ __all__ = [
     "IncludeDirective", "IntLit", "KEYWORDS", "LexError", "LocalDecl",
     "MacroConst", "Param", "Paren", "ParseError", "Return", "SourceSpan",
     "Stmt", "Token", "TokenKind", "TopLevelItem", "TranslationUnit",
-    "Unary", "While", "item_name", "lex", "normalize_tokens", "parse",
+    "Unary", "While", "item_name", "layout_items", "lex", "normalize_tokens", "parse",
     "pretty_print", "print_expr", "print_item", "print_type", "span_text",
 ]

@@ -179,16 +179,33 @@ def _is_line_item(item: TopLevelItem) -> bool:
     return isinstance(item, (IncludeDirective, MacroConst, GlobalDecl))
 
 
+def layout_items(items: list[TopLevelItem]) -> list[tuple[str, int]]:
+    """Each item's printed text and the 1-based line it starts on.
+
+    Every item starts at column 1. Two one-line items in a row (includes,
+    macros, globals) sit on adjacent lines; any other pair is separated by
+    one blank line. This is the only statement of the layout `pretty_print`
+    writes.
+    """
+    placed: list[tuple[str, int]] = []
+    line = 1
+    prev: TopLevelItem | None = None
+    for item in items:
+        text = print_item(item)
+        if prev is not None:
+            line += 1 if _is_line_item(prev) and _is_line_item(item) else 2
+        placed.append((text, line))
+        line += text.count("\n")
+        prev = item
+    return placed
+
+
 def pretty_print(unit: TranslationUnit) -> str:
     """Render a unit as compilable source; re-parsing yields an equal tree."""
-    if not unit.items:
-        return ""
     chunks: list[str] = []
-    prev: TopLevelItem | None = None
-    for item in unit.items:
-        if prev is not None:
-            chunks.append("\n" if _is_line_item(prev) and _is_line_item(item) else "\n\n")
-        chunks.append(print_item(item))
-        prev = item
-    chunks.append("\n")
-    return "".join(chunks)
+    end = 1  # line the previous item ends on
+    for text, line in layout_items(unit.items):
+        chunks.append("\n" * (line - end))
+        chunks.append(text)
+        end = line + text.count("\n")
+    return "".join(chunks) + "\n" if chunks else ""

@@ -3,13 +3,15 @@
 `complete` repeatedly detects missing elements, generates candidates with
 retrieved context, vets them, and inserts accepted patches until the
 project closes or a limit trips. Projects are treated as immutable values:
-every mutation returns a new Project, so callers can reuse a pristine
-parse across experiment iterations.
+every mutation returns a new Project, and no code changes a node after
+parsing, so callers can reuse a pristine parse across experiment iterations
+and `insert_patch` can share its memoized items between projects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from halgen.errors import HalgenError
 from halgen.analysis import (
@@ -28,10 +30,11 @@ from halgen.c_ast import (
     LexError,
     MacroConst,
     ParseError,
+    TopLevelItem,
     TranslationUnit,
     item_name,
+    layout_items,
     parse,
-    pretty_print,
 )
 from halgen.generation import (
     BackendError,
@@ -44,6 +47,11 @@ from halgen.generation import (
 )
 from halgen.prompting import PromptTemplate, RenderedPrompt, build_prompt
 from halgen.retrieval import EmptyIndex, Snippet, VectorIndex, embed, search
+
+
+# Parsed items kept by insert_patch, keyed by (printed text, start line, file
+# id). An experiment run touches a few dozen distinct keys.
+ITEM_CACHE_SIZE = 256
 
 
 class NotFound(HalgenError):
@@ -162,6 +170,8 @@ def complete(
         progress = False
         pending_names = {m.name for m in missing}
         for elem in pending:
+            if elem.name in table.definitions:
+                continue  # an earlier patch of this round defined it as an extra item
             if report.total_calls >= limits.max_calls:
                 failed.setdefault(elem.name, ["limit:max_calls"])
                 continue
@@ -239,13 +249,26 @@ def _constant_insert_position(items: list) -> int:
     return pos
 
 
+@lru_cache(maxsize=ITEM_CACHE_SIZE)
+def _parse_item(text: str, line: int, file_id: str) -> TopLevelItem:
+    """The one item printed as `text`, parsed as if it started on `line`."""
+    (item,) = parse("\n" * (line - 1) + text, file_id).items
+    return item
+
+
 def insert_patch(project: Project, patch: VettedPatch) -> Project:
     """Insert a vetted patch into the HAL unit.
 
     Constants and globals land after the last existing constant/global
     (top of the unit when there is none); functions append at the end. The
-    merged unit is re-rendered and re-parsed, which normalizes spans and
-    guarantees the insertion produced valid source.
+    result is the unit `parse(pretty_print(merged))` would give, spans
+    included, built one item at a time: each item is printed, placed on the
+    line `layout_items` gives it, and parsed on its own, which is exact
+    because the printer starts every item at column 1 on a fresh line.
+    Parsed items are memoized by (text, line, file id), so an item that is
+    unchanged and has not moved is only looked up; the cached nodes are
+    shared between projects, which is safe because no code changes a node
+    after parsing.
     """
     hal = project.hal_unit()
     items = list(hal.items)
@@ -254,12 +277,11 @@ def insert_patch(project: Project, patch: VettedPatch) -> Project:
             items.append(item)
         else:
             items.insert(_constant_insert_position(items), item)
-    merged_text = pretty_print(TranslationUnit(items, hal.file_id))
     try:
-        merged = parse(merged_text, hal.file_id)
+        merged = [_parse_item(text, line, hal.file_id) for text, line in layout_items(items)]
     except (ParseError, LexError) as err:
         raise InternalError(f"inserted patch for '{patch.name}' broke the unit: {err}") from err
-    return project.with_hal_unit(merged)
+    return project.with_hal_unit(TranslationUnit(merged, hal.file_id))
 
 
 def delete_element(project: Project, name: str) -> Project:

@@ -9,6 +9,7 @@ where approximate indexing would only cost determinism.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -152,7 +153,7 @@ def build_index(snippets: list[Snippet]) -> VectorIndex:
 
 
 def cosine(a: Vector, b: Vector) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def search(index: VectorIndex, query: Vector, k: int) -> list[tuple[int, float]]:

@@ -141,8 +141,8 @@ def load_board_map(path: str | Path) -> BoardMap:
         raise ConfigError("peripherals", "expected a list")
     for p_idx, raw in enumerate(raw_periphs):
         where = f"peripherals[{p_idx}]"
-        if not isinstance(raw, dict) or "name" not in raw:
-            raise ConfigError(where, "expected an object with a name")
+        if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
+            raise ConfigError(where, "expected an object with a string name")
         raw_registers = raw.get("registers", [])
         if not isinstance(raw_registers, list):
             raise ConfigError(f"{where}.registers", "expected a list")
@@ -169,6 +169,9 @@ def load_board_map(path: str | Path) -> BoardMap:
             for key in ("peripheral", "register", "bit"):
                 if key not in ce:
                     raise ConfigError(ce_where, f"missing key '{key}'")
+            for key in ("peripheral", "register"):
+                if not isinstance(ce[key], str):
+                    raise ConfigError(f"{ce_where}.{key}", "expected a string")
             clock_enable = ClockEnable(ce["peripheral"], ce["register"], _num(ce["bit"], f"{ce_where}.bit"))
         peripherals.append(PeripheralSpec(
             name=raw["name"],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import halgen.completion
@@ -8,9 +10,19 @@ from halgen.analysis import (
     build_symbol_table,
     detect_missing,
 )
-from halgen.c_ast import FunctionDef, MacroConst, item_name, parse, pretty_print
+from halgen.c_ast import (
+    FunctionDef,
+    MacroConst,
+    ParseError,
+    TranslationUnit,
+    item_name,
+    parse,
+    pretty_print,
+)
 from halgen.completion import (
+    ITEM_CACHE_SIZE,
     CompletionLimits,
+    InternalError,
     NotFound,
     NotInHalUnit,
     complete,
@@ -381,13 +393,107 @@ def test_collision_with_earlier_insert_of_the_round_is_rejected():
 
 def test_duplicate_from_an_insert_of_the_round_is_not_silent():
     # FOO_B's patch also defines FOO_C, which is still pending in the same
-    # round; inserting FOO_C's own patch duplicates it, and the run stops
-    # with the error a full rebuild reports, before any further generation
-    source = "uint32_t b = FOO_B;\nuint32_t c = FOO_C;\nuint32_t d = FOO_D;\n"
+    # round; the round's table already holds FOO_C, so it is skipped instead
+    # of being generated and inserted a second time
+    source = "uint32_t b = FOO_B;\nuint32_t c = FOO_C;\n"
     project = Project((parse(source, "hal.c"),), "hal.c")
     backend = ScriptedBackend(["#define FOO_B 1\n#define FOO_C 2\n", "#define FOO_C 3\n"])
+    completed, report = run_complete(project, backend)
+    assert report.closed
+    assert backend.calls == 1
+    assert [e[0] for e in report.inserted] == ["FOO_B"]
+    assert detect_missing(build_symbol_table(completed)) == []
+
+
+def test_patch_defining_an_extra_name_twice_is_not_silent():
+    # vetting rejects an extra name that collides with the table, not one
+    # the patch defines twice itself; the insert then duplicates it, and the
+    # run stops with the error a full rebuild reports, at the lines the
+    # printed layout gives the two items, before FOO_D is generated
+    source = "uint32_t b = FOO_B;\nuint32_t c = FOO_C;\nuint32_t d = FOO_D;\n"
+    project = Project((parse(source, "hal.c"),), "hal.c")
+    backend = ScriptedBackend(["#define FOO_B 1\n#define FOO_C 2\n#define FOO_C 3\n",
+                               "#define FOO_D 4\n"])
     with pytest.raises(DuplicateDefinition) as err:
         run_complete(project, backend)
     assert err.value.name == "FOO_C"
     assert [s.start_line for s in err.value.spans] == [5, 6]
-    assert backend.calls == 2
+    assert backend.calls == 1
+
+
+# --- insert_patch places items one at a time ----------------------------------------
+
+def _print_parse_insert(project, patch):
+    """The merged HAL unit printed whole and parsed back: insert_patch's reference."""
+    hal = project.hal_unit()
+    items = list(hal.items)
+    for item in patch.items:
+        if isinstance(item, FunctionDef):
+            items.append(item)
+        else:
+            items.insert(halgen.completion._constant_insert_position(items), item)
+    merged = parse(pretty_print(TranslationUnit(items, hal.file_id)), hal.file_id)
+    return project.with_hal_unit(merged)
+
+
+def test_reinserting_every_demo_element_matches_print_then_parse(demo_project, kb):
+    for cold in (True, False):
+        if cold:
+            halgen.completion._parse_item.cache_clear()
+        for name in HAL_ELEMENTS:
+            mutated = delete_element(demo_project, name)
+            table = build_symbol_table(mutated)
+            patch = vet_patch(kb.entries[name], detect_missing(table)[0], table)
+            inserted = insert_patch(mutated, patch).hal_unit()
+            # repr includes spans and literal spellings, which == ignores
+            assert repr(inserted) == repr(_print_parse_insert(mutated, patch).hal_unit()), name
+            assert repr(inserted) == repr(parse(pretty_print(inserted), "hal.c")), name
+    assert halgen.completion._parse_item.cache_info().hits > 0
+
+
+def test_completed_hollow_demo_matches_print_then_parse_inserts(
+        demo_project, kb_backend, monkeypatch):
+    hollow, _ = delete_all_hal(demo_project)
+    halgen.completion._parse_item.cache_clear()
+    completed, report = run_complete(hollow, kb_backend)
+    warm, _ = run_complete(hollow, kb_backend)
+    monkeypatch.setattr(halgen.completion, "insert_patch", _print_parse_insert)
+    reference, reference_report = run_complete(hollow, kb_backend)
+    assert report.closed
+    assert report.to_json_dict() == reference_report.to_json_dict()
+    assert repr(completed) == repr(warm) == repr(reference)
+
+
+def test_second_complete_leaves_first_result_unchanged(demo_project, kb_backend, board, scenario):
+    # the memoized items are shared between the two results, so neither
+    # completion nor simulation may change a node
+    hollow, _ = delete_all_hal(demo_project)
+    first, _ = run_complete(hollow, kb_backend)
+    before = repr(first)
+    exec_program(first, board, scenario)
+    second, _ = run_complete(hollow, kb_backend)
+    exec_program(second, board, scenario)
+    assert repr(first) == before == repr(second)
+    assert all(a is b for a, b in zip(first.hal_unit().items, second.hal_unit().items))
+
+
+def test_unparseable_item_raises_internal_error_positioned_in_the_unit():
+    project = Project((parse("#define A 1\nvoid f(void) { }\n", "hal.c"),), "hal.c")
+    (decl,) = parse("uint32_t w;", "<patch>").items
+    patch = VettedPatch("w", ElementKind.CONSTANT, [replace(decl, name="while")], "")
+    with pytest.raises(ParseError) as whole_unit:
+        _print_parse_insert(project, patch)
+    with pytest.raises(InternalError) as err:
+        insert_patch(project, patch)
+    assert str(err.value) == f"inserted patch for 'w' broke the unit: {whole_unit.value}"
+    assert str(whole_unit.value).startswith("hal.c:2:10: ")
+
+
+def test_item_memo_is_bounded():
+    empty = Project((parse("", "hal.c"),), "hal.c")
+    halgen.completion._parse_item.cache_clear()
+    for i in range(ITEM_CACHE_SIZE + 10):
+        insert_patch(empty, _patch(f"#define C{i} {i}"))
+    assert halgen.completion._parse_item.cache_info().currsize == ITEM_CACHE_SIZE
+    evicted = insert_patch(empty, _patch("#define C0 0")).hal_unit()
+    assert repr(evicted) == repr(parse("#define C0 0\n", "hal.c"))

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halgen.analysis import Project, build_symbol_table, detect_missing
+import halgen.completion
+from halgen.analysis import ElementKind, Project, build_symbol_table, detect_missing
 from halgen.c_ast import LexError, ParseError, lex, parse, pretty_print
 from halgen.c_ast.parser import MAX_NESTING
 from halgen.cli import main
+from halgen.completion import insert_patch
 from halgen.generation import Rejection, VettedPatch, vet_patch
 from halgen.retrieval import embed
 from halgen.simulate import Scenario, exec_program
@@ -185,8 +187,9 @@ def test_non_ascii_digit_makes_analyze_exit_1(tmp_path, capsys):
 
 
 # --- print/parse round trip on generated programs ----------------------------------
-# insert_patch renders the merged HAL unit and parses it back, so printing
-# must lose nothing the parser keeps.
+# insert_patch places each item of the merged HAL unit where the printer
+# would and parses it from its printed text, so printing must lose nothing
+# the parser keeps.
 
 NAMES = ["a", "b", "reg", "_t1", "GPIOA_BASE"]
 LITERALS = ["0", "7", "255", "0x1F", "0XffffFFFF", "4294967295"]
@@ -284,3 +287,20 @@ def test_print_then_parse_round_trips_generated_programs(source):
     printed = pretty_print(unit)
     assert parse(printed, "gen.c") == unit  # spans are not compared
     assert pretty_print(parse(printed, "gen.c")) == printed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TOP_LEVEL_ITEMS, max_size=6).map("\n".join),
+       st.lists(TOP_LEVEL_ITEMS.filter(lambda text: not text.startswith("#include")),
+                min_size=1, max_size=3).map("\n".join))
+@example("#include <stdint.h>\nvoid f(void) { }", "#define A 0x1F\nvoid g(void) { x--; }")
+def test_insert_patch_equals_print_then_parse(source, patch_source):
+    project = Project((parse(source, "hal.c"),), "hal.c")
+    patch_items = parse(patch_source, "<patch>").items
+    patch = VettedPatch("p", ElementKind.CONSTANT, list(patch_items), patch_source)
+    halgen.completion._parse_item.cache_clear()
+    for _ in ("cold", "warm"):
+        merged = insert_patch(project, patch).hal_unit()
+        # repr includes spans and literal spellings, which == ignores
+        assert repr(merged) == repr(parse(pretty_print(merged), "hal.c"))
+        assert len(merged.items) == len(project.hal_unit().items) + len(patch_items)

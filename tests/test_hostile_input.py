@@ -80,6 +80,12 @@ def board_with(tmp_path, **overrides):
     ({"registers": [{"name": 5, "offset": 0}]}, "peripherals[1].registers[0]"),
     ({"clock_enable": 5}, "peripherals[1].clock_enable"),
     ({"clock_enable": "peripheral register bit"}, "peripherals[1].clock_enable"),
+    ({"name": ["GPIOA"]}, "peripherals[1]"),
+    ({"name": None}, "peripherals[1]"),
+    ({"clock_enable": {"peripheral": ["RCC"], "register": "AHB1ENR", "bit": 0}},
+     "peripherals[1].clock_enable.peripheral"),
+    ({"clock_enable": {"peripheral": "RCC", "register": {"AHB1ENR": 0}, "bit": 0}},
+     "peripherals[1].clock_enable.register"),
 ])
 def test_malformed_board_map_is_config_error(tmp_path, overrides, field):
     with pytest.raises(ConfigError) as err:
@@ -95,6 +101,16 @@ def test_board_map_with_non_object_register_exits_64(tmp_path, capsys):
     assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("error: peripherals[1].registers[0]: ") and "Traceback" not in err
+
+
+def test_board_map_with_non_string_peripheral_name_exits_64(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json",
+                        {"board_map_path": str(board_with(tmp_path, name=["GPIOA"]))})
+    code = main(["simulate", str(default_project_path()), str(default_scenario_path()),
+                 "--config", str(config), "--out", str(tmp_path / "v.json")])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: peripherals[1]: ") and "Traceback" not in err
 
 
 # --- interpreter stack ---------------------------------------------------------------
