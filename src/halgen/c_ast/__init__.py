@@ -8,7 +8,6 @@ from halgen.c_ast.lexer import (
     KEYWORDS,
     lex,
     normalize_tokens,
-    span_text,
 )
 from halgen.c_ast.nodes import (
     Assign,
@@ -55,5 +54,5 @@ __all__ = [
     "MacroConst", "Param", "Paren", "ParseError", "Return", "SourceSpan",
     "Stmt", "Token", "TokenKind", "TopLevelItem", "TranslationUnit",
     "Unary", "While", "item_name", "layout_items", "lex", "normalize_tokens", "parse",
-    "pretty_print", "print_expr", "print_item", "print_type", "span_text",
+    "pretty_print", "print_expr", "print_item", "print_type",
 ]

@@ -171,14 +171,3 @@ def normalize_tokens(source: str) -> list[str]:
         else:
             out.append(tok.text)
     return out
-
-
-def span_text(source: str, span: SourceSpan) -> str:
-    """Slice the text covered by an end-inclusive span out of `source`."""
-    lines = source.splitlines(keepends=True)
-    if span.start_line == span.end_line:
-        return lines[span.start_line - 1][span.start_col - 1:span.end_col]
-    parts = [lines[span.start_line - 1][span.start_col - 1:]]
-    parts.extend(lines[i] for i in range(span.start_line, span.end_line - 1))
-    parts.append(lines[span.end_line - 1][:span.end_col])
-    return "".join(parts)

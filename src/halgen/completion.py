@@ -84,7 +84,6 @@ class CompletionReport:
     inserted: list[tuple[str, str, str, int]] = field(default_factory=list)  # name, kind, backend, rejections
     failures: list[tuple[str, list[str]]] = field(default_factory=list)
     closed: bool = False
-    per_element_similarity: list[tuple[str, float]] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,10 +92,7 @@ class CompletionReport:
             "inserted": [list(entry) for entry in self.inserted],
             "failures": [[name, list(reasons)] for name, reasons in self.failures],
             "closed": self.closed,
-            "per_element_similarity": (
-                None if self.per_element_similarity is None
-                else [list(entry) for entry in self.per_element_similarity]
-            ),
+            "per_element_similarity": None,  # kept so report files keep their shape
         }
 
 
@@ -168,18 +164,19 @@ def complete(
         if not pending:
             break  # every remaining gap already failed; no progress possible
         progress = False
-        pending_names = {m.name for m in missing}
+        # Names still missing this round may be referenced by any patch;
+        # vet_patch itself allows every name the table defines.
+        vet_policy = replace(
+            base_policy,
+            allowed_external_names=frozenset(base_policy.allowed_external_names)
+            | {m.name for m in missing},
+        )
         for elem in pending:
             if elem.name in table.definitions:
                 continue  # an earlier patch of this round defined it as an extra item
             if report.total_calls >= limits.max_calls:
                 failed.setdefault(elem.name, ["limit:max_calls"])
                 continue
-            vet_policy = replace(
-                base_policy,
-                allowed_external_names=frozenset(base_policy.allowed_external_names)
-                | set(table.definitions) | pending_names,
-            )
             signature = infer_signature(elem) if elem.kind is ElementKind.FUNCTION else None
             retrieved = _retrieve_context(index, snippets_by_id, elem, retrieval_k)
             prompt = build_prompt(elem, signature, retrieved, template)

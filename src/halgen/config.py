@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from halgen.errors import HalgenError
 
@@ -35,8 +36,14 @@ def default_project_path() -> Path:
     return data_path("demo_project")
 
 
+# Longest accepted request timeout; sockets overflow far above it.
+MAX_TIMEOUT_S = 86400.0
+
+
 @dataclass
 class HttpSettings:
+    """Settings of the HTTP chat-completion backend (`config.http`)."""
+
     endpoint: str = "http://localhost:8080/v1/chat/completions"
     model: str = "gpt-4o-mini"
     auth_env: str = "HALGEN_API_KEY"
@@ -67,12 +74,22 @@ class Config:
                             ("strict_gating", self.strict_gating)):
             if not isinstance(value, bool):
                 raise ConfigFileError(f"{name} must be a boolean, not {value!r}")
+        for name in ("endpoint", "model", "auth_env"):
+            value = getattr(self.http, name)
+            if not isinstance(value, str):
+                raise ConfigFileError(f"http.{name} must be a string, not {value!r}")
         if not isinstance(self.http.timeout_s, (int, float)) or isinstance(self.http.timeout_s, bool):
             raise ConfigFileError(f"http.timeout_s must be a number, not {self.http.timeout_s!r}")
         if self.retrieval_k < 1:
             raise ConfigFileError("retrieval_k must be at least 1")
         if self.http.max_retries < 0:
             raise ConfigFileError("http.max_retries cannot be negative")
+        if not 0 < self.http.timeout_s <= MAX_TIMEOUT_S:
+            raise ConfigFileError(
+                f"http.timeout_s must be above 0 and at most {MAX_TIMEOUT_S:g} seconds")
+        if not _is_http_url(self.http.endpoint):
+            raise ConfigFileError(
+                f"http.endpoint must be an http or https URL with a host, not {self.http.endpoint!r}")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigFileError("seed must fit in 64 bits")
         if not Path(self.board_map_path).is_file():
@@ -81,6 +98,18 @@ class Config:
             raise ConfigFileError(f"template not found: {self.template_path}")
         if self.backend == "kb" and not Path(self.kb_path).is_dir():
             raise ConfigFileError(f"knowledge base not found: {self.kb_path}")
+
+
+def _is_http_url(text: str) -> bool:
+    """An http(s) URL with a host that urllib can send a request to."""
+    if any(ch <= " " or ch == "\x7f" for ch in text):
+        return False  # http.client refuses control characters and spaces
+    try:
+        parts = urlsplit(text)
+        parts.port  # raises ValueError for a malformed port
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def load_config(path: str | Path | None = None) -> Config:
@@ -97,16 +126,13 @@ def load_config(path: str | Path | None = None) -> Config:
         raise ConfigFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigFileError(f"{path}: top level must be an object")
-    known = {"backend", "http", "retrieval_k", "strict_vetting", "strict_gating",
-             "board_map_path", "template_path", "kb_path", "seed"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(Config)}
     if unknown:
         raise ConfigFileError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     http_data = data.pop("http", {})
     if not isinstance(http_data, dict):
         raise ConfigFileError(f"{path}: 'http' must be an object")
-    http_known = {"endpoint", "model", "auth_env", "timeout_s", "max_retries"}
-    http_unknown = set(http_data) - http_known
+    http_unknown = set(http_data) - {f.name for f in fields(HttpSettings)}
     if http_unknown:
         raise ConfigFileError(f"{path}: unknown http keys: {', '.join(sorted(http_unknown))}")
     config = replace(config, http=replace(config.http, **http_data), **data)

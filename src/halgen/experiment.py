@@ -17,13 +17,7 @@ from halgen.analysis import Project, load_project, token_similarity
 from halgen.c_ast import item_name, print_item
 from halgen.completion import complete, delete_all_hal, delete_element
 from halgen.config import Config, default_project_path, default_scenario_path
-from halgen.generation import (
-    HttpBackend,
-    HttpBackendConfig,
-    KbBackend,
-    KnowledgeBase,
-    VetPolicy,
-)
+from halgen.generation import HttpBackend, KbBackend, KnowledgeBase, VetPolicy
 from halgen.prompting import load_template
 from halgen.retrieval import build_index, chunk_codebase
 from halgen.simulate import exec_program, load_board_map, load_scenario
@@ -79,10 +73,7 @@ def make_backend(config: Config):
     """Instantiate the configured generation backend; fresh per run."""
     if config.backend == "kb":
         return KbBackend(KnowledgeBase.load(config.kb_path))
-    http = config.http
-    return HttpBackend(HttpBackendConfig(
-        endpoint=http.endpoint, model=http.model, auth_env=http.auth_env,
-        timeout_s=http.timeout_s, max_retries=http.max_retries))
+    return HttpBackend(config.http)
 
 
 def run_experiment(
@@ -164,13 +155,10 @@ def _run_iteration(kind, pristine: Project, deleted: list[str], config: Config, 
 
     regenerated = {item_name(i): print_item(i)
                    for i in completed.hal_unit().items if item_name(i) is not None}
-    similarities = []
-    for name, _kind, _backend, _rejections in completion.inserted:
-        if name in originals and name in regenerated:
-            similarities.append((name, token_similarity(originals[name], regenerated[name])))
-    completion.per_element_similarity = similarities or None
-    mean_similarity = (
-        sum(s for _, s in similarities) / len(similarities) if similarities else None)
+    similarities = [token_similarity(originals[name], regenerated[name])
+                    for name, _kind, _backend, _rejections in completion.inserted
+                    if name in originals and name in regenerated]
+    mean_similarity = sum(similarities) / len(similarities) if similarities else None
 
     verdict_passed = False
     if completion.closed:

@@ -20,6 +20,7 @@ from enum import Enum
 from pathlib import Path
 
 from halgen.errors import HalgenError
+from halgen.config import HttpSettings
 from halgen.analysis import (
     ElementKind,
     MissingElement,
@@ -46,6 +47,9 @@ MALFORMED_RESPONSE = "malformed_response"
 
 _RETRYABLE = (NETWORK, RATE_LIMIT)
 
+# Seconds slept before each retry of the HTTP backend; the last one repeats.
+RETRY_DELAYS_S = (1.0, 4.0)
+
 
 class BackendError(HalgenError):
     def __init__(self, category: str, message: str):
@@ -59,13 +63,6 @@ class EmptyGeneration(HalgenError):
 
 class KnowledgeBaseError(HalgenError):
     pass
-
-
-@dataclass
-class ChatRequest:
-    model: str
-    temperature: int
-    messages: list[tuple[str, str]]  # (role, content)
 
 
 @dataclass
@@ -90,14 +87,6 @@ def extract_code(raw_text: str) -> str:
     return code
 
 
-def chat_request_from_prompt(prompt: RenderedPrompt, model: str) -> ChatRequest:
-    """Map the five sections onto a two-message chat: cue is the system
-    message, the remaining sections joined by blank lines are the user one."""
-    cue = prompt.sections[0][1]
-    user = "\n\n".join(text for _, text in prompt.sections[1:])
-    return ChatRequest(model=model, temperature=0, messages=[("system", cue), ("user", user)])
-
-
 def generate(backend, prompt: RenderedPrompt) -> GenerationResult:
     """Invoke `backend` exactly once for `prompt`."""
     return backend.generate(prompt)
@@ -106,37 +95,31 @@ def generate(backend, prompt: RenderedPrompt) -> GenerationResult:
 # --- HTTP backend ----------------------------------------------------------
 
 
-@dataclass
-class HttpBackendConfig:
-    endpoint: str
-    model: str = "gpt-4o-mini"
-    auth_env: str = "HALGEN_API_KEY"
-    timeout_s: float = 30.0
-    max_retries: int = 2
-    backoff_s: tuple[float, ...] = (1.0, 4.0)
-
-
 class HttpBackend:
     """POSTs the chat wire format to a configured endpoint.
 
-    The bearer token comes from the configured environment variable only.
-    Network and rate-limit failures are retried with backoff; auth failures
-    and malformed responses are not.
+    The five prompt sections become a two-message chat: the cue is the
+    system message, the remaining sections joined by blank lines are the
+    user one. The bearer token comes from the configured environment
+    variable only. Network and rate-limit failures are retried after the
+    `RETRY_DELAYS_S` delays; auth failures and malformed responses are not.
     """
 
     backend_id = "http"
 
-    def __init__(self, config: HttpBackendConfig, sleep=time.sleep):
+    def __init__(self, config: HttpSettings, sleep=time.sleep):
         self.config = config
         self._sleep = sleep
         self._calls = 0
 
     def generate(self, prompt: RenderedPrompt) -> GenerationResult:
-        request = chat_request_from_prompt(prompt, self.config.model)
         body = json.dumps({
-            "model": request.model,
-            "temperature": request.temperature,
-            "messages": [{"role": role, "content": content} for role, content in request.messages],
+            "model": self.config.model,
+            "temperature": 0,
+            "messages": [
+                {"role": "system", "content": prompt.sections[0][1]},
+                {"role": "user", "content": "\n\n".join(text for _, text in prompt.sections[1:])},
+            ],
         })
         attempt = 0
         while True:
@@ -146,10 +129,7 @@ class HttpBackend:
             except BackendError as err:
                 if err.category not in _RETRYABLE or attempt >= self.config.max_retries:
                     raise
-                delay = self.config.backoff_s[min(attempt, len(self.config.backoff_s) - 1)] \
-                    if self.config.backoff_s else 0.0
-                if delay:
-                    self._sleep(delay)
+                self._sleep(RETRY_DELAYS_S[min(attempt, len(RETRY_DELAYS_S) - 1)])
                 attempt += 1
         self._calls += 1
         return GenerationResult(raw, extract_code(raw), self.backend_id, self._calls)
@@ -158,6 +138,10 @@ class HttpBackend:
         token = os.environ.get(self.config.auth_env)
         if not token:
             raise BackendError(AUTH, f"environment variable {self.config.auth_env} is not set")
+        if not (token.isascii() and token.isprintable()):
+            # http.client cannot send it as a header value
+            raise BackendError(AUTH, f"environment variable {self.config.auth_env} "
+                                     "holds characters a bearer token cannot contain")
         request = urllib.request.Request(
             self.config.endpoint,
             data=body.encode("utf-8"),

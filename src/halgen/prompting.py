@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from halgen.errors import HalgenError
 from halgen.analysis import ElementKind, MissingElement, Signature
+from halgen.config import data_path
 from halgen.retrieval import Snippet
 
 
@@ -35,33 +37,8 @@ NO_CONTEXT_TEXT = "No existing context available."
 # missing element is a constant
 CONSTANT_INSTRUCTIONS = "Please generate a `#define` constant definition for '{function_name}'."
 
-_DEFAULT_CUE = "You will be my Custom Hardware Abstraction Layer Generator."
 
-_DEFAULT_INSTRUCTIONS = (
-    "Please generate a custom C function implementation for the function "
-    "'{function_name}' with {length_parameters} parameters like: {sample_parameters}."
-)
-
-_DEFAULT_CONSTRAINTS = (
-    "Don'ts:\n"
-    "- Don't reference new variables or functions that are not implemented.\n"
-    "- Don't reference stm32fxxx_hal.h functions."
-)
-
-_DEFAULT_RETURN_FORMAT = (
-    "Return-Format:\n"
-    "- Return only the C code for the requested element.\n"
-    "- Be well-documented with comments explaining its purpose, parameters, and return value.\n"
-    "- Create your own custom HAL functions without referencing other functions."
-)
-
-_DEFAULT_CONTEXT_FRAME = (
-    "Create the {function_name} using the provided information about the "
-    "existing code for an STM32F407 board: {context}"
-)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PromptTemplate:
     cue: str
     instructions: str
@@ -82,14 +59,10 @@ class RenderedPrompt:
         raise KeyError(name)
 
 
+@cache
 def default_template() -> PromptTemplate:
-    return PromptTemplate(
-        cue=_DEFAULT_CUE,
-        instructions=_DEFAULT_INSTRUCTIONS,
-        constraints=_DEFAULT_CONSTRAINTS,
-        return_format=_DEFAULT_RETURN_FORMAT,
-        context_frame=_DEFAULT_CONTEXT_FRAME,
-    )
+    """The bundled `templates/default_prompt.txt`, read once per process."""
+    return load_template(data_path("templates", "default_prompt.txt"))
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")

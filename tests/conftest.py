@@ -1,7 +1,7 @@
 import pytest
 
 from halgen.analysis import Project, load_project
-from halgen.c_ast import pretty_print
+from halgen.c_ast import SourceSpan, pretty_print
 from halgen.config import (
     data_path,
     default_board_map_path,
@@ -56,6 +56,17 @@ def canonical_set_io_mode(kb) -> str:
 @pytest.fixture(scope="session")
 def kb_snippet_texts(kb) -> dict[str, str]:
     return dict(kb.entries)
+
+
+def span_text(source: str, span: SourceSpan) -> str:
+    """Slice the text covered by an end-inclusive span out of `source`."""
+    lines = source.splitlines(keepends=True)
+    if span.start_line == span.end_line:
+        return lines[span.start_line - 1][span.start_col - 1:span.end_col]
+    parts = [lines[span.start_line - 1][span.start_col - 1:]]
+    parts.extend(lines[i] for i in range(span.start_line, span.end_line - 1))
+    parts.append(lines[span.end_line - 1][:span.end_col])
+    return "".join(parts)
 
 
 def write_project(project: Project, directory) -> None:

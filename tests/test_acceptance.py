@@ -22,12 +22,11 @@ from halgen.analysis import (
 )
 from halgen.c_ast import normalize_tokens, parse, pretty_print
 from halgen.completion import complete, delete_all_hal, delete_element
-from halgen.config import Config, default_project_path
+from halgen.config import Config, HttpSettings, default_project_path
 from halgen.experiment import run_experiment
 from halgen.generation import (
     BackendError,
     HttpBackend,
-    HttpBackendConfig,
     MALFORMED_RESPONSE,
     Rejection,
     VettedPatch,
@@ -233,10 +232,10 @@ def test_criterion_07_http_backend_contract(monkeypatch):
     try:
         monkeypatch.setenv("ACCEPT_TOKEN", "secret-from-env")
         host, port = server.server_address
-        backend = HttpBackend(HttpBackendConfig(
+        backend = HttpBackend(HttpSettings(
             endpoint=f"http://{host}:{port}/v1/chat/completions",
             model="gpt-4o-mini", auth_env="ACCEPT_TOKEN",
-            timeout_s=5.0, max_retries=0, backoff_s=(0.0,)))
+            timeout_s=5.0, max_retries=0))
 
         demo = load_project(default_project_path())
         mutated = delete_element(demo, "set_io_mode")

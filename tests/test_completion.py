@@ -30,7 +30,7 @@ from halgen.completion import (
     delete_element,
     insert_patch,
 )
-from halgen.generation import BackendError, GenerationResult, NETWORK, VettedPatch, vet_patch
+from halgen.generation import BackendError, GenerationResult, NETWORK, VetPolicy, VettedPatch, vet_patch
 from halgen.retrieval import build_index, chunk_codebase
 from halgen.simulate import exec_program
 
@@ -388,6 +388,19 @@ def test_collision_with_earlier_insert_of_the_round_is_rejected():
     assert report.closed
     assert report.inserted == [("FOO_A", "Constant", "scripted", 0),
                                ("FOO_B", "Constant", "scripted", 1)]
+    assert report.iterations_used == 2
+
+
+def test_strict_vetting_allows_names_missing_in_the_same_round():
+    # FOO_A's patch references FOO_B, which nobody defines yet but which
+    # is itself missing in this round, so strict vetting lets it through
+    source = "uint32_t a = FOO_A;\nuint32_t b = FOO_B;\n"
+    project = Project((parse(source, "hal.c"),), "hal.c")
+    backend = ScriptedBackend(["#define FOO_A (FOO_B + 1)\n", "#define FOO_B 2\n"])
+    _, report = run_complete(project, backend, policy=VetPolicy(strict=True))
+    assert report.closed
+    assert report.inserted == [("FOO_A", "Constant", "scripted", 0),
+                               ("FOO_B", "Constant", "scripted", 0)]
     assert report.iterations_used == 2
 
 

@@ -90,6 +90,8 @@ def test_invalid_json_rejected(tmp_path):
 
 def test_backend_factory_respects_backend_choice():
     assert isinstance(make_backend(Config(backend="kb")), KbBackend)
-    http_backend = make_backend(Config(backend="http"))
+    config = Config(backend="http")
+    http_backend = make_backend(config)
     assert isinstance(http_backend, HttpBackend)
+    assert http_backend.config is config.http
     assert http_backend.config.model == "gpt-4o-mini"

@@ -17,7 +17,6 @@ from halgen.generation import (
     Rejection,
     VetPolicy,
     VettedPatch,
-    chat_request_from_prompt,
     extract_code,
     vet_patch,
 )
@@ -59,21 +58,6 @@ def test_extract_without_fence_trims():
 def test_extract_empty_raises():
     with pytest.raises(EmptyGeneration):
         extract_code("   \n\n```\n\n```")
-
-
-# --- chat request mapping -------------------------------------------------------
-
-def test_chat_request_shape():
-    request = chat_request_from_prompt(prompt_for("set_io_mode", args=("a", "b", "c")),
-                                       "test-model")
-    assert request.temperature == 0
-    assert request.model == "test-model"
-    roles = [role for role, _ in request.messages]
-    assert roles == ["system", "user"]
-    system, user = request.messages
-    assert system[1] == "You will be my Custom Hardware Abstraction Layer Generator."
-    assert "set_io_mode" in user[1]
-    assert "Don't reference stm32fxxx_hal.h functions." in user[1]
 
 
 # --- knowledge base -------------------------------------------------------------

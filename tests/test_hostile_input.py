@@ -15,9 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_project
 from halgen.analysis import load_project
 from halgen.c_ast import print_item
 from halgen.cli import main
+from halgen.completion import delete_element
 from halgen.config import default_board_map_path, default_project_path, default_scenario_path
 from halgen.simulate import ConfigError, load_board_map, load_scenario
 
@@ -111,6 +113,37 @@ def test_board_map_with_non_string_peripheral_name_exits_64(tmp_path, capsys):
     assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("error: peripherals[1]: ") and "Traceback" not in err
+
+
+# --- HTTP settings ------------------------------------------------------------------
+
+@pytest.mark.parametrize("http", [
+    {"auth_env": 5},
+    {"model": ["gpt"]},
+    {"endpoint": 5},
+    {"endpoint": ""},
+    {"endpoint": "file:///etc/passwd"},
+    {"endpoint": "ftp://127.0.0.1/chat"},
+    {"endpoint": "http:///v1/chat/completions"},
+    {"endpoint": "http://127.0.0.1:port/v1/chat/completions"},
+    {"endpoint": "http://[::1/v1/chat/completions"},
+    {"endpoint": "http://127.0.0.1:1/v1/chat completions"},
+    {"timeout_s": -1},
+    {"timeout_s": 0},
+    {"timeout_s": float("nan")},
+    {"timeout_s": 1e300},
+])
+def test_malformed_http_settings_exit_64(tmp_path, monkeypatch, capsys, http):
+    monkeypatch.setenv("HALGEN_API_KEY", "token")
+    project = tmp_path / "proj"
+    write_project(delete_element(load_project(default_project_path()), "set_io_mode"), project)
+    config = write_json(tmp_path / "config.json", {"http": http})
+    code = main(["complete", str(project), str(tmp_path / "out"),
+                 "--backend", "http", "--config", str(config)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: http.") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- interpreter stack ---------------------------------------------------------------

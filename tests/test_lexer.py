@@ -1,8 +1,9 @@
 import re
 
 import pytest
+from conftest import span_text
 
-from halgen.c_ast import KEYWORDS, LexError, TokenKind, lex, normalize_tokens, span_text
+from halgen.c_ast import KEYWORDS, LexError, TokenKind, lex, normalize_tokens
 
 
 def kinds_and_texts(source):

@@ -1,4 +1,5 @@
 import pytest
+from conftest import span_text
 
 from halgen.c_ast import (
     Assign,
@@ -22,7 +23,6 @@ from halgen.c_ast import (
     While,
     lex,
     parse,
-    span_text,
 )
 
 

@@ -106,10 +106,6 @@ def test_zero_arity_renders():
     assert "'enable_gpioa_clk' with 0 parameters" in prompt.section("Instructions")
 
 
-def test_template_file_matches_builtin_default(template_file):
-    assert load_template(template_file) == default_template()
-
-
 def test_load_template_rejects_unknown_placeholder(tmp_path):
     bad = tmp_path / "t.txt"
     bad.write_text("[cue]\nHi {bogus}\n[instructions]\nx '{function_name}'\n"
