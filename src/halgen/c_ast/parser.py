@@ -381,11 +381,11 @@ class _Parser:
         self.expect_punct("(")
         cond = self.parse_expression()
         self.expect_punct(")")
-        then_branch = self._parse_stmt()
+        then_branch = self._parse_body("if")
         else_branch = None
         if self.check_keyword("else"):
             self.advance()
-            else_branch = self._parse_stmt()
+            else_branch = self._parse_body("else")
         end = else_branch if else_branch is not None else then_branch
         return If(cond, then_branch, else_branch, span=start.span.merge(end.span))
 
@@ -394,7 +394,7 @@ class _Parser:
         self.expect_punct("(")
         cond = self.parse_expression()
         self.expect_punct(")")
-        body = self._parse_stmt()
+        body = self._parse_body("while")
         return While(cond, body, span=start.span.merge(body.span))
 
     def _parse_for(self) -> For:
@@ -415,8 +415,17 @@ class _Parser:
         if not self.check_punct(")"):
             step = self._convert_incr(self.parse_expression())
         self.expect_punct(")")
-        body = self._parse_stmt()
+        body = self._parse_body("for")
         return For(init, cond, step, body, span=start.span.merge(body.span))
+
+    def _parse_body(self, keyword: str) -> Stmt:
+        """The substatement of `keyword`, which C does not allow to be a
+        declaration (C11 6.8): a bare one would be scoped by whether it ran."""
+        tok = self.peek()
+        if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_STARTERS:
+            raise ParseError(f"a declaration cannot be the body of '{keyword}'; "
+                             "put it in braces", tok.span)
+        return self._parse_stmt()
 
     def _parse_return(self) -> Return:
         start = self.advance()

@@ -183,18 +183,40 @@ class KnowledgeBase:
     def load(cls, directory: str | Path) -> "KnowledgeBase":
         """Load `<name>.c` snippets listed by `manifest.json`.
 
-        Every entry must parse and define exactly its keyed name.
+        The manifest is an object whose `entries` list holds one object per
+        snippet, with a C identifier `name` and an element `kind`. Every
+        entry must parse and define exactly its keyed name.
         """
         directory = Path(directory)
         manifest_path = directory / "manifest.json"
         if not manifest_path.is_file():
             raise KnowledgeBaseError(f"missing manifest: {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as err:
+            raise KnowledgeBaseError(f"{manifest_path}: invalid JSON: {err}") from err
+        if not isinstance(manifest, dict):
+            raise KnowledgeBaseError(f"{manifest_path}: top level must be an object")
+        records = manifest.get("entries", [])
+        if not isinstance(records, list):
+            raise KnowledgeBaseError(f"{manifest_path}: 'entries' must be a list")
         entries: dict[str, str] = {}
         kinds: dict[str, ElementKind] = {}
-        for record in manifest.get("entries", []):
+        for index, record in enumerate(records):
+            where = f"{manifest_path}: entries[{index}]"
+            if not isinstance(record, dict):
+                raise KnowledgeBaseError(f"{where} must be an object")
+            for key in ("name", "kind"):
+                if key not in record:
+                    raise KnowledgeBaseError(f"{where} has no '{key}'")
             name = record["name"]
-            kind = ElementKind(record["kind"])
+            # checked before it becomes part of a path
+            if not isinstance(name, str) or not _IDENTIFIER_RE.fullmatch(name):
+                raise KnowledgeBaseError(f"{where}: name {name!r} is not a C identifier")
+            try:
+                kind = ElementKind(record["kind"])
+            except ValueError:
+                raise KnowledgeBaseError(f"{where}: unknown kind {record['kind']!r}") from None
             snippet_path = directory / f"{name}.c"
             if not snippet_path.is_file():
                 raise KnowledgeBaseError(f"manifest entry '{name}' has no snippet file")
@@ -212,7 +234,8 @@ class KnowledgeBase:
         return cls(entries, kinds)
 
 
-_QUOTED_NAME_RE = re.compile(r"'([A-Za-z_][A-Za-z0-9_]*)'")
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_QUOTED_NAME_RE = re.compile(f"'({_IDENTIFIER_RE.pattern})'")
 _ARITY_RE = re.compile(r"with (\d+) parameters")
 
 

@@ -52,6 +52,14 @@ def _num(value, where: str) -> int:
     raise ConfigError(where, f"expected an integer, found {type(value).__name__}")
 
 
+def _word(value, where: str) -> int:
+    """A 32-bit address or register value."""
+    number = _num(value, where)
+    if not 0 <= number <= 0xFFFFFFFF:
+        raise ConfigError(where, f"{value!r} does not fit in 32 bits")
+    return number
+
+
 @dataclass
 class RegisterSpec:
     name: str
@@ -207,11 +215,13 @@ def load_scenario(path: str | Path, board: BoardMap | None = None) -> Scenario:
     """Load a scenario JSON file.
 
     The top level is an object. `gpio_inputs` maps "PERIPHERAL:PIN" keys
-    to lists of input bits. `expected_registers` entries are [address,
-    value] pairs; the address may also be a "PERIPHERAL.REGISTER" name when
-    a board map is given. `expected_log` is a JSON string holding one byte
-    per character, latin-1 encoded: "\\u00ff" is the byte 0xFF, and a
+    to lists of input bits; with a board map, the peripheral must be one of
+    its own. `expected_registers` entries are [address, value] pairs of
+    32-bit numbers; the address may also be a "PERIPHERAL.REGISTER" name
+    when a board map is given. `expected_log` is a JSON string holding one
+    byte per character, latin-1 encoded: "\\u00ff" is the byte 0xFF, and a
     character above U+00FF is a ConfigError, as is any malformed field.
+    `fuel_limit` must be positive.
     """
     path = Path(path)
     try:
@@ -224,12 +234,15 @@ def load_scenario(path: str | Path, board: BoardMap | None = None) -> Scenario:
     if not isinstance(raw_inputs, dict):
         raise ConfigError("gpio_inputs", "expected an object")
     gpio_inputs: dict[tuple[str, int], list[int]] = {}
+    peripherals = {p.name for p in board.peripherals} if board is not None else None
     for key, bits in raw_inputs.items():
         periph, _, pin = key.partition(":")
         try:
             pin_index = int(pin)
         except ValueError:
             raise ConfigError(f"gpio_inputs[{key}]", 'keys must look like "GPIOA:5"') from None
+        if peripherals is not None and periph not in peripherals:
+            raise ConfigError(f"gpio_inputs[{key}]", f"unknown peripheral '{periph}'")
         if not isinstance(bits, list):
             raise ConfigError(f"gpio_inputs[{key}]", "expected a list of input bits")
         gpio_inputs[(periph, pin_index)] = [_num(b, f"gpio_inputs[{key}]") for b in bits]
@@ -251,17 +264,22 @@ def load_scenario(path: str | Path, board: BoardMap | None = None) -> Scenario:
             except KeyError:
                 raise ConfigError(where, f"unknown register '{target}'") from None
         else:
-            address = _num(target, where)
-        expected_registers.append((address & 0xFFFFFFFF, _num(value, where) & 0xFFFFFFFF))
-    log_text = str(data.get("expected_log", ""))
+            address = _word(target, where)
+        expected_registers.append((address, _word(value, where)))
+    log_text = data.get("expected_log", "")
+    if not isinstance(log_text, str):
+        raise ConfigError("expected_log", f"expected a string, found {type(log_text).__name__}")
     try:
         expected_log = log_text.encode("latin-1")
     except UnicodeEncodeError as exc:
         raise ConfigError("expected_log", f"character {log_text[exc.start]!r} at index "
                           f"{exc.start} is above U+00FF, not a byte") from None
+    fuel_limit = _num(data.get("fuel_limit", DEFAULT_FUEL_LIMIT), "fuel_limit")
+    if fuel_limit <= 0:
+        raise ConfigError("fuel_limit", f"must be positive, found {fuel_limit}")
     return Scenario(
         gpio_inputs=gpio_inputs,
         expected_log=expected_log,
         expected_registers=expected_registers,
-        fuel_limit=_num(data.get("fuel_limit", DEFAULT_FUEL_LIMIT), "fuel_limit"),
+        fuel_limit=fuel_limit,
     )

@@ -5,47 +5,40 @@ are signed only when both operands are statically plain ``int``. A
 dereference whose address matches a mapped register goes through that
 register's behavior hook; any other address is diagnosed as a wild access
 (reads yield 0, writes are dropped, execution continues). Every statement
-and expression evaluation costs one unit of fuel; running out of fuel is
-the only way a diverging program ends, and it fails the verdict.
+and expression evaluation costs one unit of fuel, charged before its
+operands are evaluated; running out of fuel is the only way a diverging
+program ends, and it fails the verdict.
 
 Execution never raises for program-level misbehavior: shift counts >= 32,
 division by zero, wild addresses, and clock-gating violations all record
 diagnostics with a defined result so that a single run reports everything
 it saw.
+
+Function bodies and global initializers run as closures compiled once per
+parsed item (see `halgen.simulate.compiler`).
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from typing import NoReturn
 
 from halgen.errors import HalgenError
 from halgen.analysis import Project, build_symbol_table, detect_missing
 from halgen.c_ast import (
-    Assign,
     Binary,
-    Call,
-    Cast,
-    Compound,
     CType,
     Expr,
-    ExprStmt,
-    For,
     FunctionDef,
     GlobalDecl,
     Ident,
-    If,
     IntLit,
-    LocalDecl,
     MacroConst,
     Paren,
-    Return,
     SourceSpan,
-    Stmt,
     Unary,
-    While,
 )
-from halgen.c_ast.nodes import BaseType
 from halgen.simulate.board import (
     BoardMap,
     PeripheralSpec,
@@ -53,8 +46,7 @@ from halgen.simulate.board import (
     USART_TE_BIT,
     USART_TXE_BIT,
 )
-
-_MASK32 = 0xFFFFFFFF
+from halgen.simulate.compiler import MASK32, function_code, initializer_code, width_mask
 
 GLOBALS_BASE_ADDRESS = 0x20000000  # synthetic RAM slots for address-taken globals
 
@@ -85,7 +77,7 @@ class MachineState:
 
     def register_value(self, address: int) -> int:
         """Current raw stored value (or reset default) at a register address."""
-        address &= _MASK32
+        address &= MASK32
         if address in self.mmio:
             return self.mmio[address]
         hit = self.board.register_at(address)
@@ -121,31 +113,8 @@ class _Halt(Exception):
     """Fatal condition: fuel exhausted, call depth, or diagnostic overflow."""
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: int):
-        self.value = value
-
-
-def _width_mask(ctype: CType) -> int:
-    if ctype.pointer_depth > 0:
-        return _MASK32
-    if ctype.base is BaseType.U8:
-        return 0xFF
-    if ctype.base is BaseType.U16:
-        return 0xFFFF
-    return _MASK32
-
-
-def _is_plain_int(ctype: CType | None) -> bool:
-    return ctype is not None and ctype.base is BaseType.I32 and ctype.pointer_depth == 0
-
-
 def _to_signed(value: int) -> int:
     return value - (1 << 32) if value & 0x80000000 else value
-
-
-_I32 = CType(BaseType.I32)
-_U32 = CType(BaseType.U32)
 
 
 class _Machine:
@@ -155,7 +124,6 @@ class _Machine:
         self.scenario = scenario
         self.strict = strict_gating
         self.fuel = scenario.fuel_limit
-        self.steps = 0
         self.diagnostics: list[Diagnostic] = []
         self._seen_diags: set[tuple[str, str]] = set()
         self.mmio: dict[int, int] = {}
@@ -176,33 +144,36 @@ class _Machine:
 
         self.macros = self._resolve_macros(macro_items)
 
+        # per-(peripheral, pin) scripted input positions and sticky last bit
+        self._idr_pos: dict[tuple[str, int], int] = {k: 0 for k in scenario.gpio_inputs}
+        self._idr_last: dict[tuple[str, int], int] = {}
+
         self.global_types: dict[str, CType] = {}
+        self.global_masks: dict[str, int] = {}
         self.global_values: dict[str, int] = {}
         self.global_addresses: dict[str, int] = {}
         self.address_to_global: dict[int, str] = {}
         for i, decl in enumerate(global_items):
             address = GLOBALS_BASE_ADDRESS + 4 * i
             self.global_types[decl.name] = decl.ctype
+            self.global_masks[decl.name] = width_mask(decl.ctype)
             self.global_addresses[decl.name] = address
             self.address_to_global[address] = decl.name
             self.global_values[decl.name] = 0
         for decl in global_items:
             if decl.init is not None:
-                value, _ = self.eval_expr(decl.init, [])
-                self.global_values[decl.name] = value & _width_mask(decl.ctype)
-
-        # per-(peripheral, pin) scripted input positions and sticky last bit
-        self._idr_pos: dict[tuple[str, int], int] = {k: 0 for k in scenario.gpio_inputs}
-        self._idr_last: dict[tuple[str, int], int] = {}
+                value = self.initial_value(decl)
+                self.global_values[decl.name] = value & self.global_masks[decl.name]
 
     # --- infrastructure ----------------------------------------------------
 
-    def charge(self, span: SourceSpan | None = None) -> None:
-        if self.fuel <= 0:
-            self.diagnose("error", "fuel exhausted", span)
-            raise _Halt()
-        self.fuel -= 1
-        self.steps += 1
+    def fail(self, message: str, span: SourceSpan | None) -> NoReturn:
+        """Record a fatal error and stop the run."""
+        self.diagnose("error", message, span)
+        raise _Halt()
+
+    def out_of_fuel(self, span: SourceSpan) -> NoReturn:
+        self.fail("fuel exhausted", span)
 
     def diagnose(self, severity: str, message: str, span: SourceSpan | None = None) -> None:
         key = (severity, message)
@@ -232,7 +203,7 @@ class _Machine:
 
         def fold(expr: Expr) -> int:
             if isinstance(expr, IntLit):
-                return expr.value & _MASK32
+                return expr.value & MASK32
             if isinstance(expr, Ident):
                 return value_of(expr.name)
             if isinstance(expr, Paren):
@@ -240,9 +211,9 @@ class _Machine:
             if isinstance(expr, Unary):
                 operand = fold(expr.operand)
                 if expr.op == "neg":
-                    return (-operand) & _MASK32
+                    return (-operand) & MASK32
                 if expr.op == "bitnot":
-                    return (~operand) & _MASK32
+                    return (~operand) & MASK32
                 raise SimSetupError(f"operator '{expr.op}' is not constant-foldable")
             if isinstance(expr, Binary):
                 lhs, rhs = fold(expr.lhs), fold(expr.rhs)
@@ -268,7 +239,7 @@ class _Machine:
             self.diagnose(severity, f"access to {periph.name} while its clock is disabled", span)
 
     def read_memory(self, address: int, span: SourceSpan | None) -> int:
-        address &= _MASK32
+        address &= MASK32
         hit = self.board.register_at(address)
         if hit is not None:
             periph, reg = hit
@@ -278,15 +249,15 @@ class _Machine:
                 value |= 1 << USART_TXE_BIT  # always-ready transmitter
             elif reg.behavior == "gpio_idr":
                 value = self._idr_value(periph, value)
-            return value & _MASK32
+            return value & MASK32
         if address in self.address_to_global:
             return self.global_values[self.address_to_global[address]]
         self.diagnose("error", f"wild-address access at 0x{address:08X}", span)
         return 0
 
     def write_memory(self, address: int, value: int, span: SourceSpan | None) -> None:
-        address &= _MASK32
-        value &= _MASK32
+        address &= MASK32
+        value &= MASK32
         hit = self.board.register_at(address)
         if hit is not None:
             periph, reg = hit
@@ -297,7 +268,7 @@ class _Machine:
             return
         if address in self.address_to_global:
             name = self.address_to_global[address]
-            self.global_values[name] = value & _width_mask(self.global_types[name])
+            self.global_values[name] = value & self.global_masks[name]
             return
         self.diagnose("error", f"wild-address access at 0x{address:08X}", span)
 
@@ -307,7 +278,7 @@ class _Machine:
         if self.strict:
             cr1 = periph.register_named("CR1")
             if cr1 is not None:
-                cr1_addr = (periph.base_address + cr1.offset) & _MASK32
+                cr1_addr = (periph.base_address + cr1.offset) & MASK32
                 cr1_value = self.mmio.get(cr1_addr, cr1.reset_value)
                 if not (cr1_value >> USART_TE_BIT) & 1:
                     self.diagnose("error",
@@ -328,7 +299,7 @@ class _Machine:
                 self._idr_last[key] = bit
             else:
                 bit = self._idr_last.get(key, (stored >> pin) & 1)
-            value = (value | (1 << pin)) if bit else (value & ~(1 << pin) & _MASK32)
+            value = (value | (1 << pin)) if bit else (value & ~(1 << pin) & MASK32)
         return value
 
     # --- evaluation ----------------------------------------------------------
@@ -337,8 +308,6 @@ class _Machine:
         main = self.functions["main"]
         try:
             self.call(main, [], main.span)
-        except _ReturnSignal:
-            pass
         except _Halt:
             pass
         except RecursionError:
@@ -350,167 +319,48 @@ class _Machine:
 
     def call(self, fn: FunctionDef, args: list[int], span: SourceSpan) -> int:
         if len(args) != len(fn.params):
-            self.diagnose("error",
-                          f"call to {fn.name} with {len(args)} arguments, expected {len(fn.params)}",
-                          span)
-            raise _Halt()
+            self.fail(f"call to {fn.name} with {len(args)} arguments, expected {len(fn.params)}",
+                      span)
         if self.call_depth >= _MAX_CALL_DEPTH:
-            self.diagnose("error", f"call depth limit exceeded at {fn.name}", span)
-            raise _Halt()
-        frame = [{p.name: [a & _width_mask(p.ctype), p.ctype]
-                  for p, a in zip(fn.params, args)}]
+            self.fail(f"call depth limit exceeded at {fn.name}", span)
+        body, param_masks, local_slots = function_code(fn)
+        frame = [a & mask for a, mask in zip(args, param_masks)]
+        frame += local_slots
         self.call_depth += 1
         try:
-            self.exec_stmt(fn.body, frame)
-        except _ReturnSignal as ret:
-            return ret.value
+            result = body(self, frame)
         finally:
             self.call_depth -= 1
-        return 0
+        return 0 if result is None else result
 
-    def exec_stmt(self, stmt: Stmt, frame: list[dict]) -> None:
-        self.charge(stmt.span)
-        if isinstance(stmt, Compound):
-            frame.append({})
-            try:
-                for inner in stmt.stmts:
-                    self.exec_stmt(inner, frame)
-            finally:
-                frame.pop()
-        elif isinstance(stmt, ExprStmt):
-            self.eval_expr(stmt.expr, frame)
-        elif isinstance(stmt, LocalDecl):
-            value = 0
-            if stmt.init is not None:
-                value, _ = self.eval_expr(stmt.init, frame)
-            frame[-1][stmt.name] = [value & _width_mask(stmt.ctype), stmt.ctype]
-        elif isinstance(stmt, If):
-            cond, _ = self.eval_expr(stmt.cond, frame)
-            if cond:
-                self.exec_stmt(stmt.then_branch, frame)
-            elif stmt.else_branch is not None:
-                self.exec_stmt(stmt.else_branch, frame)
-        elif isinstance(stmt, While):
-            while True:
-                cond, _ = self.eval_expr(stmt.cond, frame)
-                if not cond:
-                    break
-                self.exec_stmt(stmt.body, frame)
-        elif isinstance(stmt, For):
-            frame.append({})
-            try:
-                if stmt.init is not None:
-                    self.exec_stmt(stmt.init, frame)
-                while True:
-                    if stmt.cond is not None:
-                        cond, _ = self.eval_expr(stmt.cond, frame)
-                        if not cond:
-                            break
-                    self.exec_stmt(stmt.body, frame)
-                    if stmt.step is not None:
-                        self.eval_expr(stmt.step, frame)
-            finally:
-                frame.pop()
-        elif isinstance(stmt, Return):
-            value = 0
-            if stmt.value is not None:
-                value, _ = self.eval_expr(stmt.value, frame)
-            raise _ReturnSignal(value)
-        else:
-            raise SimSetupError(f"cannot execute statement {type(stmt).__name__}")
+    def initial_value(self, decl: GlobalDecl) -> int:
+        """Evaluate a global's initializer; it has no local slots."""
+        return initializer_code(decl)(self, None)
 
-    def _lookup(self, name: str, frame: list[dict]):
-        for scope in reversed(frame):
-            if name in scope:
-                return scope[name]
-        return None
-
-    def eval_expr(self, expr: Expr, frame: list[dict]) -> tuple[int, CType | None]:
-        self.charge(expr.span)
-        if isinstance(expr, IntLit):
-            value = expr.value & _MASK32
-            return value, (_I32 if expr.value <= 0x7FFFFFFF else _U32)
-        if isinstance(expr, Ident):
-            slot = self._lookup(expr.name, frame)
-            if slot is not None:
-                return slot[0], slot[1]
-            if expr.name in self.global_values:
-                return self.global_values[expr.name], self.global_types[expr.name]
-            if expr.name in self.macros:
-                value = self.macros[expr.name]
-                return value, (_I32 if value <= 0x7FFFFFFF else _U32)
-            if expr.name in self.functions:
-                self.diagnose("error", f"function '{expr.name}' used as a value", expr.span)
-                raise _Halt()
-            self.diagnose("error", f"undefined name '{expr.name}'", expr.span)
-            raise _Halt()
-        if isinstance(expr, Paren):
-            return self.eval_expr(expr.inner, frame)
-        if isinstance(expr, Cast):
-            value, _ = self.eval_expr(expr.operand, frame)
-            return value & _width_mask(expr.ctype), expr.ctype
-        if isinstance(expr, Unary):
-            return self._eval_unary(expr, frame)
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr, frame)
-        if isinstance(expr, Assign):
-            return self._eval_assign(expr, frame)
-        if isinstance(expr, Call):
-            fn = self.functions.get(expr.callee)
-            if fn is None:
-                self.diagnose("error", f"call to undefined or non-function name '{expr.callee}'",
-                              expr.span)
-                raise _Halt()
-            args = [self.eval_expr(a, frame)[0] for a in expr.args]
-            return self.call(fn, args, expr.span) & _MASK32, fn.return_type
-        raise SimSetupError(f"cannot evaluate expression {type(expr).__name__}")
-
-    def _eval_unary(self, expr: Unary, frame: list[dict]) -> tuple[int, CType | None]:
-        if expr.op == "deref":
-            address, _ = self.eval_expr(expr.operand, frame)
-            return self.read_memory(address, expr.span), None
-        if expr.op == "addr_of":
-            target = expr.operand
-            while isinstance(target, Paren):
-                target = target.inner
-            if isinstance(target, Unary) and target.op == "deref":
-                return self.eval_expr(target.operand, frame)
-            if isinstance(target, Ident):
-                if self._lookup(target.name, frame) is not None:
-                    self.diagnose("error", "address-of a local variable is not supported",
-                                  expr.span)
-                    raise _Halt()
-                if target.name in self.global_addresses:
-                    return self.global_addresses[target.name], _U32
-            self.diagnose("error", "cannot take the address of this expression", expr.span)
-            raise _Halt()
-        value, ctype = self.eval_expr(expr.operand, frame)
-        if expr.op == "neg":
-            return (-value) & _MASK32, ctype
-        if expr.op == "bitnot":
-            return (~value) & _MASK32, _U32
-        if expr.op == "lognot":
-            return (0 if value else 1), _I32
-        raise SimSetupError(f"unknown unary operator '{expr.op}'")
+    def unbound(self, name: str, span: SourceSpan) -> NoReturn:
+        """Stop the run at a name that is neither a variable nor a macro."""
+        if name in self.functions:
+            self.fail(f"function '{name}' used as a value", span)
+        self.fail(f"undefined name '{name}'", span)
 
     def _binary_value(self, op: str, lhs: int, rhs: int, span: SourceSpan | None,
                       signed: bool = False) -> int:
         if op == "+":
-            return (lhs + rhs) & _MASK32
+            return (lhs + rhs) & MASK32
         if op == "-":
-            return (lhs - rhs) & _MASK32
+            return (lhs - rhs) & MASK32
         if op == "*":
-            return (lhs * rhs) & _MASK32
+            return (lhs * rhs) & MASK32
         if op in ("/", "%"):
             if rhs == 0:
                 self.diagnose("error", "division by zero", span)
                 return 0
-            return (lhs // rhs if op == "/" else lhs % rhs) & _MASK32
+            return (lhs // rhs if op == "/" else lhs % rhs) & MASK32
         if op in ("<<", ">>"):
             if rhs >= 32:
                 self.diagnose("error", f"shift count {rhs} out of range", span)
                 return 0
-            return ((lhs << rhs) if op == "<<" else (lhs >> rhs)) & _MASK32
+            return ((lhs << rhs) if op == "<<" else (lhs >> rhs)) & MASK32
         if op == "&":
             return lhs & rhs
         if op == "|":
@@ -524,62 +374,6 @@ class _Machine:
             return int({"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[op])
         raise SimSetupError(f"unknown binary operator '{op}'")
 
-    def _eval_binary(self, expr: Binary, frame: list[dict]) -> tuple[int, CType | None]:
-        if expr.op in ("&&", "||"):
-            lhs, _ = self.eval_expr(expr.lhs, frame)
-            if expr.op == "&&" and not lhs:
-                return 0, _I32
-            if expr.op == "||" and lhs:
-                return 1, _I32
-            rhs, _ = self.eval_expr(expr.rhs, frame)
-            return (1 if rhs else 0), _I32
-        lhs, lt = self.eval_expr(expr.lhs, frame)
-        rhs, rt = self.eval_expr(expr.rhs, frame)
-        signed = _is_plain_int(lt) and _is_plain_int(rt)
-        value = self._binary_value(expr.op, lhs, rhs, expr.span, signed)
-        if expr.op in ("+", "-", "*", "/", "%"):
-            result_type = _I32 if signed else _U32
-        elif expr.op in ("==", "!=", "<", ">", "<=", ">="):
-            result_type = _I32
-        else:
-            result_type = _U32
-        return value, result_type
-
-    def _eval_assign(self, expr: Assign, frame: list[dict]) -> tuple[int, CType | None]:
-        target = expr.target
-        while isinstance(target, Paren):
-            target = target.inner
-        if isinstance(target, Ident):
-            slot = self._lookup(target.name, frame)
-            if slot is not None:
-                old, ctype = slot[0], slot[1]
-                new = self._assigned_value(expr, old, frame)
-                slot[0] = new & _width_mask(ctype)
-                return slot[0], ctype
-            if target.name in self.global_values:
-                ctype = self.global_types[target.name]
-                old = self.global_values[target.name]
-                new = self._assigned_value(expr, old, frame)
-                self.global_values[target.name] = new & _width_mask(ctype)
-                return self.global_values[target.name], ctype
-            self.diagnose("error", f"assignment to non-variable '{target.name}'", expr.span)
-            raise _Halt()
-        if isinstance(target, Unary) and target.op == "deref":
-            address, _ = self.eval_expr(target.operand, frame)
-            old = self.read_memory(address, expr.span) if expr.op != "=" else 0
-            new = self._assigned_value(expr, old, frame)
-            self.write_memory(address, new, expr.span)
-            return new & _MASK32, None
-        self.diagnose("error", "assignment target is not an lvalue", expr.span)
-        raise _Halt()
-
-    def _assigned_value(self, expr: Assign, old: int, frame: list[dict]) -> int:
-        rhs, _ = self.eval_expr(expr.value, frame)
-        if expr.op == "=":
-            return rhs & _MASK32
-        op = expr.op[:-1]  # "&=" -> "&", "<<=" -> "<<"
-        return self._binary_value(op, old, rhs, expr.span)
-
     def state(self) -> MachineState:
         return MachineState(
             globals=dict(self.global_values),
@@ -587,7 +381,7 @@ class _Machine:
             usart_log=bytes(self.usart_log),
             fuel=self.fuel,
             diagnostics=list(self.diagnostics),
-            steps_used=self.steps,
+            steps_used=self.scenario.fuel_limit - self.fuel,
             board=self.board,
         )
 

@@ -244,15 +244,24 @@ SIMPLE_STATEMENTS = st.one_of(
 )
 
 
+TYPE_WORDS = {ctype.split()[0] for ctype in TYPES}
+
+
+def _braced_if_declaration(statement):
+    """A declaration cannot be the body of if, else, while or for."""
+    return "{ " + statement + " }" if statement.split()[0] in TYPE_WORDS else statement
+
+
 def _compound_statements(inner):
     for_init = st.sampled_from([""]) | ASSIGNMENTS | DECLARATIONS
     for_step = st.sampled_from([""]) | ASSIGNMENTS | INCREMENTS
+    body = inner.map(_braced_if_declaration)
     return st.one_of(
-        st.lists(inner, max_size=3).map(lambda body: "{ " + " ".join(body) + " }"),
-        st.tuples(EXPRESSIONS, inner).map("if ({0[0]}) {0[1]}".format),
-        st.tuples(EXPRESSIONS, inner, inner).map("if ({0[0]}) {0[1]} else {0[2]}".format),
-        st.tuples(EXPRESSIONS, inner).map("while ({0[0]}) {0[1]}".format),
-        st.tuples(for_init, optional_expr, for_step, inner)
+        st.lists(inner, max_size=3).map(lambda stmts: "{ " + " ".join(stmts) + " }"),
+        st.tuples(EXPRESSIONS, body).map("if ({0[0]}) {0[1]}".format),
+        st.tuples(EXPRESSIONS, body, body).map("if ({0[0]}) {0[1]} else {0[2]}".format),
+        st.tuples(EXPRESSIONS, body).map("while ({0[0]}) {0[1]}".format),
+        st.tuples(for_init, optional_expr, for_step, body)
         .map(lambda t: f"for ({t[0]}; {t[1] or ''}; {t[2]}) {t[3]}"),
     )
 
@@ -304,3 +313,41 @@ def test_insert_patch_equals_print_then_parse(source, patch_source):
         # repr includes spans and literal spellings, which == ignores
         assert repr(merged) == repr(parse(pretty_print(merged), "hal.c"))
         assert len(merged.items) == len(project.hal_unit().items) + len(patch_items)
+
+
+# --- declarations as bodies ---------------------------------------------------------
+# C11 6.8: a declaration is not a statement, so it cannot be the body of if,
+# else, while or for. The tree-walking interpreter scoped such a body by
+# whether it ran: the first program set the global x to 8, the second n to 9.
+
+BARE_IF = "uint32_t x = 7;\nint main(void) { if (0) int x = 5; x = x + 1; return 0; }\n"
+BARE_WHILE = ("uint32_t x = 0;\nuint32_t n = 0;\n"
+              "int main(void) { while (x < 3) uint8_t x = 9; n = x; return 0; }\n")
+
+
+@pytest.mark.parametrize("source, keyword, declaration", [
+    (BARE_IF, "if", "int x = 5"),
+    (BARE_WHILE, "while", "uint8_t x = 9"),
+])
+def test_declaration_as_a_bare_body_is_a_parse_error(source, keyword, declaration):
+    with pytest.raises(ParseError) as err:
+        parse(source, "main.c")
+    assert err.value.message == f"a declaration cannot be the body of '{keyword}'; put it in braces"
+    line = source[:source.index(declaration)].count("\n") + 1
+    col = source.index(declaration) - source.rfind("\n", 0, source.index(declaration))
+    assert (err.value.span.start_line, err.value.span.start_col) == (line, col)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["if", "else", "while", "for"]), EXPRESSIONS,
+       st.sampled_from([""]) | DECLARATIONS, DECLARATIONS)
+def test_bare_declaration_body_is_a_parse_error_at_the_declaration(keyword, cond, for_init,
+                                                                     declaration):
+    head = {"if": f"if ({cond}) ", "else": f"if ({cond}) x; else ", "while": f"while ({cond}) ",
+            "for": f"for ({for_init}; {cond}; ) "}[keyword]
+    prefix = "void f(void) { " + head
+    with pytest.raises(ParseError) as err:
+        parse(prefix + declaration + "; }", "gen.c")
+    assert f"the body of '{keyword}'" in err.value.message
+    assert (err.value.span.start_line, err.value.span.start_col) == (1, len(prefix) + 1)
+    parse(prefix + "{ " + declaration + "; } }", "gen.c")  # a declaration in braces is fine

@@ -66,6 +66,27 @@ def test_malformed_scenario_exits_64(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"expected_log": 5}, "expected_log"),
+    ({"expected_log": None}, "expected_log"),
+    ({"expected_registers": [["0x1ffffffff", 0]]}, "expected_registers[0]"),
+    ({"expected_registers": [["GPIOA.ODR", "0x100000000"]]}, "expected_registers[0]"),
+    ({"gpio_inputs": {"GPIOZ:5": [1]}}, "gpio_inputs[GPIOZ:5]"),
+    ({"fuel_limit": 0}, "fuel_limit"),
+    ({"fuel_limit": -1}, "fuel_limit"),
+])
+def test_scenario_field_that_cannot_mean_what_it_says_exits_64(tmp_path, capsys, overrides,
+                                                                field):
+    data = json.loads(default_scenario_path().read_text(encoding="utf-8"))
+    data.update(overrides)
+    path, out = write_json(tmp_path / "s.json", data), tmp_path / "v.json"
+    code = main(["simulate", str(default_project_path()), str(path), "--out", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- board map loader ---------------------------------------------------------------
 
 def board_with(tmp_path, **overrides):
@@ -144,6 +165,41 @@ def test_malformed_http_settings_exit_64(tmp_path, monkeypatch, capsys, http):
     err = capsys.readouterr().err
     assert err.startswith("error: http.") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# --- knowledge-base manifest ----------------------------------------------------------
+
+@pytest.mark.parametrize("manifest, message", [
+    ("{", "invalid JSON"),
+    ("[]", "top level must be an object"),
+    ('{"entries": "RCC_BASE"}', "'entries' must be a list"),
+    ('{"entries": [5]}', "entries[0] must be an object"),
+    ('{"entries": [{"kind": "Constant"}]}', "entries[0] has no 'name'"),
+    ('{"entries": [{"name": "RCC_BASE"}]}', "entries[0] has no 'kind'"),
+    ('{"entries": [{"name": "RCC_BASE", "kind": "Macro"}]}', "unknown kind 'Macro'"),
+    ('{"entries": [{"name": "../hal", "kind": "Constant"}]}', "'../hal' is not a C identifier"),
+    ('{"entries": [{"name": 5, "kind": "Constant"}]}', "5 is not a C identifier"),
+])
+def test_malformed_kb_manifest_is_an_error_without_traceback(tmp_path, capsys, manifest, message):
+    kb = tmp_path / "kb"
+    kb.mkdir()
+    (kb / "manifest.json").write_text(manifest, encoding="utf-8")
+    (tmp_path / "hal.c").write_text("#define RCC_BASE 0x40023800\n", encoding="utf-8")
+    config = write_json(tmp_path / "config.json", {"kb_path": str(kb)})
+    project = tmp_path / "proj"
+    write_project(delete_element(load_project(default_project_path()), "set_io_mode"), project)
+    code = main(["complete", str(project), str(tmp_path / "out"), "--config", str(config)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    report_path = tmp_path / "report.json"
+    assert main(["experiment", "random_deletion", "--iterations", "2", "--config", str(config),
+                 "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    errors = [it["error"] for it in report["per_iteration"]]
+    assert len(errors) == 2
+    assert all(e.startswith("KnowledgeBaseError: ") and message in e for e in errors)
 
 
 # --- interpreter stack ---------------------------------------------------------------

@@ -281,6 +281,13 @@ def test_gpio_input_script_consumed_per_read(board):
     assert state.globals["reads"] == 0x20
 
 
+def test_global_initializer_reads_the_input_script(board):
+    # the script's read positions exist before the initializers run
+    source = "uint32_t level = *(volatile uint32_t *) 0x40020010;\nint main(void) { return 0; }\n"
+    state, _ = run(source, board, Scenario(gpio_inputs={("GPIOA", 3): [1]}))
+    assert state.globals == {"level": 1 << 3}
+
+
 def test_wild_address_is_diagnosed_not_fatal(board):
     source = (
         "uint32_t got = 0;\n"
