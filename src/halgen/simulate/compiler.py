@@ -1,13 +1,11 @@
 """Compilation of function bodies and global initializers into closures.
 
-Each function body and each global initializer is compiled once into
-nested closures, one per node kind and operator class, and memoised per
-parsed item for as long as the item lives; items are never changed after
-parsing, so projects that share an item share its compiled form. Local
-names are resolved when the body is compiled, to slots of one flat list
-per call. Globals, macros and callees are looked up through the running
-machine (`halgen.simulate.interp._Machine`) when they are evaluated,
-because one compiled item serves every project holding it.
+Each function body and each global initializer is compiled into nested
+closures, one per node kind and operator class. Local names are resolved
+when the body is compiled, to slots of one flat list per call. Globals,
+macros and callees are looked up through the running machine
+(`halgen.simulate.interp._Machine`) when they are evaluated, a global
+before a macro of the same name.
 
 A compiled statement is a closure (machine, frame) -> None, or the
 returned value once a `return` has run; a compiled expression is a closure
@@ -20,7 +18,6 @@ Each closure first charges its node one unit of fuel, in the line
 from __future__ import annotations
 
 import operator
-import weakref
 
 from halgen.c_ast import (
     Assign,
@@ -77,30 +74,9 @@ _TOTAL = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _EQUALITY = {"==": operator.eq, "!=": operator.ne}
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
-# id(item) -> its compiled form; each entry is dropped when its item is collected
-_COMPILED: dict[int, object] = {}
 
-
-def _compiled(item, compile_item):
-    key = id(item)
-    code = _COMPILED.get(key)
-    if code is None:
-        code = _COMPILED[key] = compile_item(item)
-        weakref.finalize(item, _COMPILED.pop, key, None)
-    return code
-
-
-def function_code(fn: FunctionDef):
-    """(body, parameter masks, initial local slots) of a function, compiled once."""
-    return _compiled(fn, _compile_function)
-
-
-def initializer_code(decl: GlobalDecl):
-    """The compiled initializer of a global, which has no local slots."""
-    return _compiled(decl, _compile_initializer)
-
-
-def _compile_function(fn: FunctionDef):
+def compile_function(fn: FunctionDef):
+    """(body, parameter masks, initial local slots) of a function."""
     compiler = _Compiler()
     for param in fn.params:
         compiler.declare(param.name, param.ctype)
@@ -109,7 +85,8 @@ def _compile_function(fn: FunctionDef):
     return body, param_masks, [0] * (len(compiler.slot_types) - len(fn.params))
 
 
-def _compile_initializer(decl: GlobalDecl):
+def compile_initializer(decl: GlobalDecl):
+    """The compiled initializer of a global, which has no local slots."""
     return _Compiler().expr(decl.init)
 
 

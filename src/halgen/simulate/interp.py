@@ -14,8 +14,9 @@ division by zero, wild addresses, and clock-gating violations all record
 diagnostics with a defined result so that a single run reports everything
 it saw.
 
-Function bodies and global initializers run as closures compiled once per
-parsed item (see `halgen.simulate.compiler`).
+Function bodies and global initializers run as closures (see
+`halgen.simulate.compiler`); the machine compiles every function body when
+it is built.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from halgen.simulate.board import (
     USART_TE_BIT,
     USART_TXE_BIT,
 )
-from halgen.simulate.compiler import MASK32, function_code, initializer_code, width_mask
+from halgen.simulate.compiler import MASK32, compile_function, compile_initializer, width_mask
 
 GLOBALS_BASE_ADDRESS = 0x20000000  # synthetic RAM slots for address-taken globals
 
@@ -113,10 +114,6 @@ class _Halt(Exception):
     """Fatal condition: fuel exhausted, call depth, or diagnostic overflow."""
 
 
-def _to_signed(value: int) -> int:
-    return value - (1 << 32) if value & 0x80000000 else value
-
-
 class _Machine:
     def __init__(self, project: Project, board: BoardMap, scenario: Scenario,
                  strict_gating: bool):
@@ -143,6 +140,9 @@ class _Machine:
                     global_items.append(item)
 
         self.macros = self._resolve_macros(macro_items)
+        # compiled before any call nests, so compiling a deep body never
+        # meets the interpreter's stack limit
+        self.code = {name: compile_function(fn) for name, fn in self.functions.items()}
 
         # per-(peripheral, pin) scripted input positions and sticky last bit
         self._idr_pos: dict[tuple[str, int], int] = {k: 0 for k in scenario.gpio_inputs}
@@ -160,10 +160,7 @@ class _Machine:
             self.global_addresses[decl.name] = address
             self.address_to_global[address] = decl.name
             self.global_values[decl.name] = 0
-        for decl in global_items:
-            if decl.init is not None:
-                value = self.initial_value(decl)
-                self.global_values[decl.name] = value & self.global_masks[decl.name]
+        self.initialized_globals = [decl for decl in global_items if decl.init is not None]
 
     # --- infrastructure ----------------------------------------------------
 
@@ -305,8 +302,12 @@ class _Machine:
     # --- evaluation ----------------------------------------------------------
 
     def run_main(self) -> None:
+        """Initialize the globals in source order, then run `main`."""
         main = self.functions["main"]
         try:
+            for decl in self.initialized_globals:
+                value = self.initial_value(decl)
+                self.global_values[decl.name] = value & self.global_masks[decl.name]
             self.call(main, [], main.span)
         except _Halt:
             pass
@@ -323,7 +324,7 @@ class _Machine:
                       span)
         if self.call_depth >= _MAX_CALL_DEPTH:
             self.fail(f"call depth limit exceeded at {fn.name}", span)
-        body, param_masks, local_slots = function_code(fn)
+        body, param_masks, local_slots = self.code[fn.name]
         frame = [a & mask for a, mask in zip(args, param_masks)]
         frame += local_slots
         self.call_depth += 1
@@ -335,7 +336,7 @@ class _Machine:
 
     def initial_value(self, decl: GlobalDecl) -> int:
         """Evaluate a global's initializer; it has no local slots."""
-        return initializer_code(decl)(self, None)
+        return compile_initializer(decl)(self, None)
 
     def unbound(self, name: str, span: SourceSpan) -> NoReturn:
         """Stop the run at a name that is neither a variable nor a macro."""
@@ -343,8 +344,7 @@ class _Machine:
             self.fail(f"function '{name}' used as a value", span)
         self.fail(f"undefined name '{name}'", span)
 
-    def _binary_value(self, op: str, lhs: int, rhs: int, span: SourceSpan | None,
-                      signed: bool = False) -> int:
+    def _binary_value(self, op: str, lhs: int, rhs: int, span: SourceSpan | None) -> int:
         if op == "+":
             return (lhs + rhs) & MASK32
         if op == "-":
@@ -370,8 +370,7 @@ class _Machine:
         if op in ("==", "!="):
             return int((lhs == rhs) == (op == "=="))
         if op in ("<", ">", "<=", ">="):
-            a, b = (_to_signed(lhs), _to_signed(rhs)) if signed else (lhs, rhs)
-            return int({"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[op])
+            return int({"<": lhs < rhs, ">": lhs > rhs, "<=": lhs <= rhs, ">=": lhs >= rhs}[op])
         raise SimSetupError(f"unknown binary operator '{op}'")
 
     def state(self) -> MachineState:

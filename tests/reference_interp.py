@@ -40,6 +40,10 @@ _I32 = CType(BaseType.I32)
 _U32 = CType(BaseType.U32)
 
 
+def _to_signed(value: int) -> int:
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
 class _ReturnSignal(Exception):
     def __init__(self, value: int):
         self.value = value
@@ -213,7 +217,9 @@ class ReferenceMachine(_Machine):
         lhs, lt = self.eval_expr(expr.lhs, frame)
         rhs, rt = self.eval_expr(expr.rhs, frame)
         signed = is_plain_int(lt) and is_plain_int(rt)
-        value = self._binary_value(expr.op, lhs, rhs, expr.span, signed)
+        if signed and expr.op in ("<", ">", "<=", ">="):
+            lhs, rhs = _to_signed(lhs), _to_signed(rhs)
+        value = self._binary_value(expr.op, lhs, rhs, expr.span)
         if expr.op in ("+", "-", "*", "/", "%"):
             result_type = _I32 if signed else _U32
         elif expr.op in ("==", "!=", "<", ">", "<=", ">="):

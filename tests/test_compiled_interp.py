@@ -1,4 +1,4 @@
-"""The compiled interpreter against the tree-walking oracle, and its memo.
+"""The compiled interpreter against the tree-walking oracle.
 
 `reference_interp.ReferenceMachine` is the tree-walker the compiled
 closures replaced. Both run grammar-generated programs on the bundled board
@@ -9,7 +9,6 @@ Statements that fold values into the global `sink` make locals, parameters
 and comparison results visible in that final state.
 """
 
-import gc
 import sys
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 from halgen.analysis import Project
 from halgen.c_ast import ParseError, parse
-from halgen.simulate import Scenario, compiler, exec_program, interp
+from halgen.simulate import Scenario, interp
 from reference_interp import ReferenceMachine
 from test_front_end_properties import (
     ASSIGN_OPS,
@@ -167,6 +166,10 @@ def run(machine_class, project, board, scenario, strict):
          fuel_limit=100, strict=False)
 @example(source="uint32_t a = 5;\nuint32_t s;\nint main(void) { uint32_t a = a + 1; s = a; }\n",
          fuel_limit=100, strict=False)
+@example(source="uint32_t t = 1 + 2;\nint main(void) { return 0; }\n",
+         fuel_limit=2, strict=False)
+@example(source="uint32_t t = main;\nint main(void) { return 0; }\n",
+         fuel_limit=100, strict=False)
 @example(source="uint32_t a = 3;\nuint32_t s;\n"
                 "int main(void) { for (uint32_t a = 7; a < 9; a++) s = a; s = s + a; }\n",
          fuel_limit=100, strict=False)
@@ -200,24 +203,6 @@ def test_compiled_interpreter_matches_the_tree_walker(source, fuel_limit, strict
     assert compiled.diagnostics == reference.diagnostics  # spans included
 
 
-def test_compiled_forms_are_shared_and_dropped_with_their_items(board):
-    source = ("uint32_t total = 2 + 3;\n"
-              "uint32_t twice(uint32_t v) { return v + v; }\n"
-              "int main(void) { total = twice(total); return 0; }\n")
-    gc.collect()
-    before = len(compiler._COMPILED)
-    project = Project((parse(source, "m.c"),), "m.c")
-    state, _ = exec_program(project, board, Scenario())
-    assert state.globals == {"total": 10}
-    assert len(compiler._COMPILED) == before + 3  # the initializer, twice and main
-    compiled = [compiler._COMPILED[id(item)] for item in project.units[0].items]
-    exec_program(project, board, Scenario())
-    assert [compiler._COMPILED[id(item)] for item in project.units[0].items] == compiled
-    del project, compiled
-    gc.collect()
-    assert len(compiler._COMPILED) == before
-
-
 @pytest.mark.parametrize("source, message", [
     ("int main(void) { uint32_t x = 1; return &x; }\n",
      "address-of a local variable is not supported"),
@@ -230,4 +215,47 @@ def test_halting_paths_agree_with_the_tree_walker(source, message, board):
     reference, _ = run(ReferenceMachine, project, board, Scenario(), False)
     assert [d.message for d in compiled.diagnostics] == [message]
     assert compiled.diagnostics == reference.diagnostics
+    assert compiled.steps_used == reference.steps_used
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _finishes(machine_class, project, board, frames):
+    """The final state when the machine may use `frames` Python frames, and
+    whether the run ended without running out of them."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + frames)
+    try:
+        state, error = run(machine_class, project, board, Scenario(), False)
+    finally:
+        sys.setrecursionlimit(limit)
+    return state, error is None and STACK_MESSAGE not in [d.message for d in state.diagnostics]
+
+
+def test_a_deep_body_first_called_deep_in_the_call_chain_runs_as_in_the_tree_walker(board):
+    # `g`'s body is 60 statements deep and is first called under 62 calls.
+    # Compiling a body takes more stack than running it, so a body compiled
+    # at its first call would run out of stack where the tree-walker does not.
+    source = ("uint32_t s;\n"
+              "void g(void) { " + "if (1) " * 60 + "s = 7; }\n"
+              "void f(uint32_t n) { if (n < 60) f(n + 1); else g(); }\n"
+              "int main(void) { f(0); }\n")
+    project = Project((parse(source, "m.c"),), "m.c")
+    low, high = 1, 10_000  # the fewest frames with which the tree-walker finishes
+    while low < high:
+        middle = (low + high) // 2
+        if _finishes(ReferenceMachine, project, board, middle)[1]:
+            high = middle
+        else:
+            low = middle + 1
+    reference, _ = _finishes(ReferenceMachine, project, board, low)
+    compiled, finished = _finishes(interp._Machine, project, board, low)
+    assert finished
+    assert compiled.globals == reference.globals == {"s": 7}
+    assert compiled.diagnostics == reference.diagnostics == []
     assert compiled.steps_used == reference.steps_used

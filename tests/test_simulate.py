@@ -288,6 +288,19 @@ def test_global_initializer_reads_the_input_script(board):
     assert state.globals == {"level": 1 << 3}
 
 
+@pytest.mark.parametrize("init, fuel, message", [
+    ("1 + 2", 2, "fuel exhausted"),
+    ("main", 100, "function 'main' used as a value"),
+])
+def test_a_global_initializer_that_halts_fails_the_verdict(board, init, fuel, message):
+    source = f"uint32_t total = {init};\nuint32_t after = 5;\nint main(void) {{ after = 6; }}\n"
+    state, verdict = run(source, board, Scenario(fuel_limit=fuel))
+    assert not verdict.passed
+    assert [(d.severity, d.message, d.span.start_line) for d in verdict.diagnostics] == [
+        ("error", message, 1)]
+    assert state.globals == {"total": 0, "after": 0}  # main never ran
+
+
 def test_wild_address_is_diagnosed_not_fatal(board):
     source = (
         "uint32_t got = 0;\n"
