@@ -95,9 +95,12 @@ class BoardMap:
     peripherals: list[PeripheralSpec]
     _by_address: dict[int, tuple[PeripheralSpec, RegisterSpec]] = field(
         default_factory=dict, repr=False, compare=False)
+    _gates: dict[tuple[str, str], tuple[int, RegisterSpec]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_address = {}
+        self._gates = {}
         for p_idx, periph in enumerate(self.peripherals):
             for r_idx, reg in enumerate(periph.registers):
                 addr = (periph.base_address + reg.offset) & 0xFFFFFFFF
@@ -116,13 +119,20 @@ class BoardMap:
             if ce.peripheral not in names:
                 raise ConfigError(where, f"unknown peripheral '{ce.peripheral}'")
             target = next(p for p in self.peripherals if p.name == ce.peripheral)
-            if target.register_named(ce.register) is None:
+            reg = target.register_named(ce.register)
+            if reg is None:
                 raise ConfigError(where, f"peripheral '{ce.peripheral}' has no register '{ce.register}'")
             if not 0 <= ce.bit <= 31:
                 raise ConfigError(where, f"bit index {ce.bit} out of range")
+            self._gates[ce.peripheral, ce.register] = (
+                (target.base_address + reg.offset) & 0xFFFFFFFF, reg)
 
     def register_at(self, address: int) -> tuple[PeripheralSpec, RegisterSpec] | None:
         return self._by_address.get(address & 0xFFFFFFFF)
+
+    def clock_gate(self, gate: ClockEnable) -> tuple[int, RegisterSpec]:
+        """The address and register of a peripheral's clock-enable bit."""
+        return self._gates[gate.peripheral, gate.register]
 
     def address_of(self, peripheral: str, register: str) -> int:
         for periph in self.peripherals:

@@ -1,11 +1,11 @@
 """Compilation of function bodies and global initializers into closures.
 
 Each function body and each global initializer is compiled into nested
-closures, one per node kind and operator class. Local names are resolved
-when the body is compiled, to slots of one flat list per call. Globals,
-macros and callees are looked up through the running machine
-(`halgen.simulate.interp._Machine`) when they are evaluated, a global
-before a macro of the same name.
+closures, one per node kind and operator class, for the machine
+(`halgen.simulate.interp._Machine`) that runs it. Every name is resolved
+when compiled: a local to a slot of one flat list per call, else a global,
+a macro's value or a function. A name unfit for its use compiles to a
+closure that stops the run, and so costs nothing unless evaluated.
 
 A compiled statement is a closure (machine, frame) -> None, or the
 returned value once a `return` has run; a compiled expression is a closure
@@ -75,9 +75,9 @@ _EQUALITY = {"==": operator.eq, "!=": operator.ne}
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
-def compile_function(fn: FunctionDef):
+def compile_function(fn: FunctionDef, machine):
     """(body, parameter masks, initial local slots) of a function."""
-    compiler = _Compiler()
+    compiler = _Compiler(machine)
     for param in fn.params:
         compiler.declare(param.name, param.ctype)
     body = compiler.stmt(fn.body)
@@ -85,15 +85,32 @@ def compile_function(fn: FunctionDef):
     return body, param_masks, [0] * (len(compiler.slot_types) - len(fn.params))
 
 
-def compile_initializer(decl: GlobalDecl):
+def compile_initializer(decl: GlobalDecl, machine):
     """The compiled initializer of a global, which has no local slots."""
-    return _Compiler().expr(decl.init)
+    return _Compiler(machine).expr(decl.init)
+
+
+def _constant(value: int, span):
+    """A closure that charges its node's fuel, then returns `value`."""
+    def ev(m, f):
+        m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
+        return value
+    return ev
+
+
+def _failure(message: str, span):
+    """A closure that charges its node's fuel, then stops the run with `message`."""
+    def run(m, f):
+        m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
+        m.fail(message, span)
+    return run
 
 
 class _Compiler:
     """Compiles one function body or initializer, giving each local its own slot."""
 
-    def __init__(self):
+    def __init__(self, machine):
+        self.m = machine
         self.scopes: list[dict[str, int]] = [{}]
         self.slot_types: list[CType] = []
 
@@ -206,12 +223,7 @@ class _Compiler:
     # --- expressions -----------------------------------------------------------
 
     def int_lit(self, node: IntLit):
-        span, value = node.span, node.value & MASK32
-
-        def ev(m, f):
-            m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-            return value
-        return ev
+        return _constant(node.value & MASK32, node.span)
 
     def ident(self, node: Ident):
         span, name, slot = node.span, node.name, self.local(node.name)
@@ -220,16 +232,18 @@ class _Compiler:
                 m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
                 return f[slot]
             return ev
+        if name in self.m.global_values:
+            values = self.m.global_values
 
-        def ev(m, f):
-            m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-            value = m.global_values.get(name)
-            if value is None:
-                value = m.macros.get(name)
-                if value is None:
-                    m.unbound(name, span)
-            return value
-        return ev
+            def ev(m, f):
+                m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
+                return values[name]
+            return ev
+        if name in self.m.macros:
+            return _constant(self.m.macros[name], span)
+        if name in self.m.functions:
+            return _failure(f"function '{name}' used as a value", span)
+        return _failure(f"undefined name '{name}'", span)
 
     def paren(self, node: Paren):
         span, inner = node.span, self.expr(node.inner)
@@ -280,17 +294,11 @@ class _Compiler:
                 return pointer(m, f)
             return ev
         name = target.name if isinstance(target, Ident) else None
-        local = name is not None and self.local(name) is not None
-
-        def ev(m, f):
-            m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-            if local:
-                m.fail("address-of a local variable is not supported", span)
-            address = m.global_addresses.get(name)
-            if address is None:
-                m.fail("cannot take the address of this expression", span)
-            return address
-        return ev
+        if name is not None and self.local(name) is not None:
+            return _failure("address-of a local variable is not supported", span)
+        if name not in self.m.global_addresses:
+            return _failure("cannot take the address of this expression", span)
+        return _constant(self.m.global_addresses[name], span)
 
     def binary(self, node: Binary):
         span, op = node.span, node.op
@@ -326,20 +334,11 @@ class _Compiler:
     def _relational(self, node: Binary):
         span, compare = node.span, _COMPARE[node.op]
         lhs, rhs = self.expr(node.lhs), self.expr(node.rhs)
-        signed = _both_plain(self.plain(node.lhs), self.plain(node.rhs))
-        if isinstance(signed, bool):
-            bias = _SIGN_BIT if signed else 0
-
-            def ev(m, f):
-                m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-                return 1 if compare(lhs(m, f) ^ bias, rhs(m, f) ^ bias) else 0
-            return ev
+        bias = _SIGN_BIT if self.plain(node.lhs) and self.plain(node.rhs) else 0
 
         def ev(m, f):
             m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-            a, b = lhs(m, f), rhs(m, f)
-            bias = _SIGN_BIT if signed(m) else 0
-            return 1 if compare(a ^ bias, b ^ bias) else 0
+            return 1 if compare(lhs(m, f) ^ bias, rhs(m, f) ^ bias) else 0
         return ev
 
     def assign(self, node: Assign):
@@ -359,15 +358,15 @@ class _Compiler:
                     f[slot] = new = m._binary_value(op, f[slot], value(m, f), span) & mask
                     return new
         elif isinstance(target, Ident):
-            name = target.name
+            name, values = target.name, self.m.global_values
+            if name not in values:
+                return _failure(f"assignment to non-variable '{name}'", span)
+            mask = self.m.global_masks[name]
 
             def ev(m, f):
                 m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-                values = m.global_values
-                if name not in values:
-                    m.fail(f"assignment to non-variable '{name}'", span)
                 new = m._binary_value(op, values[name], value(m, f), span) if op else value(m, f)
-                values[name] = new = new & m.global_masks[name]
+                values[name] = new = new & mask
                 return new
         else:  # a dereference; the parser admits no other target
             address = self.expr(target.operand)
@@ -384,27 +383,24 @@ class _Compiler:
         return ev
 
     def call(self, node: Call):
-        span, callee = node.span, node.callee
+        span, fn = node.span, self.m.functions.get(node.callee)
+        if fn is None:
+            return _failure(f"call to undefined or non-function name '{node.callee}'", span)
         args = tuple(self.expr(a) for a in node.args)
 
         def ev(m, f):
             m.fuel = m.fuel - 1 if m.fuel > 0 else m.out_of_fuel(span)
-            fn = m.functions.get(callee)
-            if fn is None:
-                m.fail(f"call to undefined or non-function name '{callee}'", span)
             return m.call(fn, [arg(m, f) for arg in args], span)
         return ev
 
     # --- operand types -----------------------------------------------------------
 
-    def plain(self, node: Expr):
+    def plain(self, node: Expr) -> bool:
         """Whether the node's type is plain `int`, which makes a relational
         operator on it compare signed.
 
-        The answer is a bool, or a function of the machine where it depends
-        on a global's type, a macro's value or a callee's return type. That
-        function is called only after the node has been evaluated, so every
-        name it needs has been found.
+        A name that is not what its use needs stops the run before any
+        comparison of it, so the answer for it does not matter.
         """
         if isinstance(node, IntLit):
             return node.value <= 0x7FFFFFFF
@@ -413,8 +409,8 @@ class _Compiler:
         if isinstance(node, Cast):
             return is_plain_int(node.ctype)
         if isinstance(node, Call):
-            callee = node.callee
-            return lambda m: is_plain_int(m.functions[callee].return_type)
+            fn = self.m.functions.get(node.callee)
+            return fn is not None and is_plain_int(fn.return_type)
         if isinstance(node, (Ident, Assign)):
             target = node if isinstance(node, Ident) else _strip_parens(node.target)
             if not isinstance(target, Ident):  # an assignment through a pointer
@@ -423,27 +419,17 @@ class _Compiler:
             if slot is not None:
                 return is_plain_int(self.slot_types[slot])
             name = target.name
-            return lambda m: (is_plain_int(m.global_types[name]) if name in m.global_types
-                              else m.macros[name] <= 0x7FFFFFFF)
+            if name in self.m.global_types:
+                return is_plain_int(self.m.global_types[name])
+            return self.m.macros.get(name, 0) <= 0x7FFFFFFF
         if isinstance(node, Unary):
             target = _strip_parens(node.operand)
             if node.op == "addr_of" and isinstance(target, Unary) and target.op == "deref":
                 return self.plain(target.operand)
             return self.plain(node.operand) if node.op == "neg" else node.op == "lognot"
         if node.op in ("+", "-", "*", "/", "%"):
-            return _both_plain(self.plain(node.lhs), self.plain(node.rhs))
+            return self.plain(node.lhs) and self.plain(node.rhs)
         return node.op in ("&&", "||", "==", "!=", "<", ">", "<=", ">=")
-
-
-def _both_plain(lhs, rhs):
-    """Whether two operands with these `_Compiler.plain` answers are both plain `int`."""
-    if lhs is False or rhs is False:
-        return False
-    if lhs is True:
-        return rhs
-    if rhs is True:
-        return lhs
-    return lambda m: lhs(m) and rhs(m)
 
 
 _STATEMENTS = {

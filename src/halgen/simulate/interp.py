@@ -15,8 +15,9 @@ diagnostics with a defined result so that a single run reports everything
 it saw.
 
 Function bodies and global initializers run as closures (see
-`halgen.simulate.compiler`); the machine compiles every function body when
-it is built.
+`halgen.simulate.compiler`), compiled for the machine once its globals are
+laid out: every function body before the global initializers run, each
+initializer when it runs.
 """
 
 from __future__ import annotations
@@ -114,6 +115,10 @@ class _Halt(Exception):
     """Fatal condition: fuel exhausted, call depth, or diagnostic overflow."""
 
 
+class _Unresolved(Exception):
+    """A macro body names the macro in `args[0]`, which is not folded yet."""
+
+
 class _Machine:
     def __init__(self, project: Project, board: BoardMap, scenario: Scenario,
                  strict_gating: bool):
@@ -140,9 +145,6 @@ class _Machine:
                     global_items.append(item)
 
         self.macros = self._resolve_macros(macro_items)
-        # compiled before any call nests, so compiling a deep body never
-        # meets the interpreter's stack limit
-        self.code = {name: compile_function(fn) for name, fn in self.functions.items()}
 
         # per-(peripheral, pin) scripted input positions and sticky last bit
         self._idr_pos: dict[tuple[str, int], int] = {k: 0 for k in scenario.gpio_inputs}
@@ -182,27 +184,17 @@ class _Machine:
         self.diagnostics.append(Diagnostic(severity, message, span))
 
     def _resolve_macros(self, macro_items: dict[str, MacroConst]) -> dict[str, int]:
+        """Fold every macro; one whose body names an unfolded macro is folded
+        again after it, so a chain of macros costs no Python stack."""
         resolved: dict[str, int] = {}
-        resolving: set[str] = set()
-
-        def value_of(name: str) -> int:
-            if name in resolved:
-                return resolved[name]
-            if name in resolving:
-                raise SimSetupError(f"macro definitions form a cycle at '{name}'")
-            if name not in macro_items:
-                raise SimSetupError(f"macro value references non-constant name '{name}'")
-            resolving.add(name)
-            result = fold(macro_items[name].value_expr)
-            resolving.discard(name)
-            resolved[name] = result
-            return result
 
         def fold(expr: Expr) -> int:
             if isinstance(expr, IntLit):
                 return expr.value & MASK32
             if isinstance(expr, Ident):
-                return value_of(expr.name)
+                if expr.name not in resolved:
+                    raise _Unresolved(expr.name)
+                return resolved[expr.name]
             if isinstance(expr, Paren):
                 return fold(expr.inner)
             if isinstance(expr, Unary):
@@ -217,8 +209,21 @@ class _Machine:
                 return self._binary_value(expr.op, lhs, rhs, expr.span)
             raise SimSetupError("macro value is not a constant expression")
 
-        for name in macro_items:
-            value_of(name)
+        for root in macro_items:
+            pending = {root: None}  # the macros being folded, innermost last
+            while root not in resolved:
+                name = next(reversed(pending))
+                try:
+                    resolved[name] = fold(macro_items[name].value_expr)
+                    del pending[name]
+                except _Unresolved as missing:
+                    (needed,) = missing.args
+                    if needed in pending:
+                        raise SimSetupError(f"macro definitions form a cycle at '{needed}'") from None
+                    if needed not in macro_items:
+                        raise SimSetupError(
+                            f"macro value references non-constant name '{needed}'") from None
+                    pending[needed] = None
         return resolved
 
     # --- memory ------------------------------------------------------------
@@ -227,10 +232,8 @@ class _Machine:
         ce = periph.clock_enable
         if ce is None:
             return
-        gate_addr = self.board.address_of(ce.peripheral, ce.register)
-        hit = self.board.register_at(gate_addr)
-        reset = hit[1].reset_value if hit else 0
-        gate = self.mmio.get(gate_addr, reset)
+        gate_addr, gate_reg = self.board.clock_gate(ce)
+        gate = self.mmio.get(gate_addr, gate_reg.reset_value)
         if not (gate >> ce.bit) & 1:
             severity = "error" if self.strict else "warning"
             self.diagnose(severity, f"access to {periph.name} while its clock is disabled", span)
@@ -305,6 +308,9 @@ class _Machine:
         """Initialize the globals in source order, then run `main`."""
         main = self.functions["main"]
         try:
+            # compiled before any call nests, and inside this handler, so a
+            # deep body compiled near the stack limit fails the verdict
+            self.code = {name: compile_function(fn, self) for name, fn in self.functions.items()}
             for decl in self.initialized_globals:
                 value = self.initial_value(decl)
                 self.global_values[decl.name] = value & self.global_masks[decl.name]
@@ -336,13 +342,7 @@ class _Machine:
 
     def initial_value(self, decl: GlobalDecl) -> int:
         """Evaluate a global's initializer; it has no local slots."""
-        return compile_initializer(decl)(self, None)
-
-    def unbound(self, name: str, span: SourceSpan) -> NoReturn:
-        """Stop the run at a name that is neither a variable nor a macro."""
-        if name in self.functions:
-            self.fail(f"function '{name}' used as a value", span)
-        self.fail(f"undefined name '{name}'", span)
+        return compile_initializer(decl, self)(self, None)
 
     def _binary_value(self, op: str, lhs: int, rhs: int, span: SourceSpan | None) -> int:
         if op == "+":

@@ -153,6 +153,19 @@ def test_simulate_open_project_is_setup_error(gapped_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("macros, message", [
+    ("#define A B\n#define B A\n", "macro definitions form a cycle at 'A'"),
+    ("#define A g\n", "macro value references non-constant name 'g'"),
+])
+def test_simulate_macro_that_does_not_fold_is_setup_error(tmp_path, capsys, macros, message):
+    project = tmp_path / "proj"
+    project.mkdir()
+    (project / "main.c").write_text(
+        macros + "uint32_t g;\nint main(void) { g = A; return 0; }\n", encoding="utf-8")
+    assert run_cli("simulate", project, default_scenario_path(), "--out", tmp_path / "v.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_compile_hook_records_exit_codes(demo_dir, tmp_path):
     out = tmp_path / "verdict.json"
     command = f'{sys.executable} -c "import sys; sys.exit(0)" {{file}}'

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from halgen.analysis import Project
+from halgen.analysis import Project, build_symbol_table, detect_missing
 from halgen.c_ast import ParseError, parse
 from halgen.simulate import Scenario, interp
 from reference_interp import ReferenceMachine
@@ -208,12 +208,18 @@ def test_compiled_interpreter_matches_the_tree_walker(source, fuel_limit, strict
      "address-of a local variable is not supported"),
     ("int main(void) { return &(1); }\n", "cannot take the address of this expression"),
     ("int main(void) { return main; }\n", "function 'main' used as a value"),
+    ("#define K 1\nint main(void) { K = 2; }\n", "assignment to non-variable 'K'"),
+    ("uint32_t g;\nint main(void) { return g(); }\n",
+     "call to undefined or non-function name 'g'"),
+    # names unfit for their use halt a run only when evaluated
+    ("#define K 1\nuint32_t g;\nuint32_t f(uint32_t p) { return p; }\n"
+     "int main(void) { if (0) { K = 2; g(); g = f; f(); } return 0; }\n", None),
 ])
 def test_halting_paths_agree_with_the_tree_walker(source, message, board):
     project = Project((parse(source, "m.c"),), "m.c")
     compiled, _ = run(interp._Machine, project, board, Scenario(), False)
     reference, _ = run(ReferenceMachine, project, board, Scenario(), False)
-    assert [d.message for d in compiled.diagnostics] == [message]
+    assert [d.message for d in compiled.diagnostics] == ([] if message is None else [message])
     assert compiled.diagnostics == reference.diagnostics
     assert compiled.steps_used == reference.steps_used
 
@@ -225,15 +231,20 @@ def _stack_depth() -> int:
     return depth
 
 
-def _finishes(machine_class, project, board, frames):
-    """The final state when the machine may use `frames` Python frames, and
-    whether the run ended without running out of them."""
+def _within(frames, action):
+    """What `action()` returns when it may use `frames` more Python frames."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + frames)
     try:
-        state, error = run(machine_class, project, board, Scenario(), False)
+        return action()
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _finishes(machine_class, project, board, frames):
+    """The final state when the machine may use `frames` Python frames, and
+    whether the run ended without running out of them."""
+    state, error = _within(frames, lambda: run(machine_class, project, board, Scenario(), False))
     return state, error is None and STACK_MESSAGE not in [d.message for d in state.diagnostics]
 
 
@@ -259,3 +270,23 @@ def test_a_deep_body_first_called_deep_in_the_call_chain_runs_as_in_the_tree_wal
     assert compiled.globals == reference.globals == {"s": 7}
     assert compiled.diagnostics == reference.diagnostics == []
     assert compiled.steps_used == reference.steps_used
+
+
+def test_a_body_compiled_near_the_stack_limit_fails_the_verdict(board):
+    # Checking that the project is closed takes about one Python frame per
+    # nesting level of `main`'s body, and compiling it about two.
+    source = "uint32_t s;\nint main(void) { " + "if (1) " * 60 + "s = 7; }\n"
+    project = Project((parse(source, "m.c"),), "m.c")
+
+    def closed(frames):
+        try:
+            _within(frames, lambda: detect_missing(build_symbol_table(project)))
+        except RecursionError:
+            return False
+        return True
+
+    frames = next(n for n in range(1, 10_000) if closed(n))
+    state, verdict = _within(frames + 10, lambda: interp.exec_program(project, board, Scenario()))
+    assert not verdict.passed
+    assert [d.message for d in verdict.diagnostics] == [STACK_MESSAGE]
+    assert state.globals == {"s": 0}

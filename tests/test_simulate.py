@@ -301,6 +301,13 @@ def test_a_global_initializer_that_halts_fails_the_verdict(board, init, fuel, me
     assert state.globals == {"total": 0, "after": 0}  # main never ran
 
 
+def test_a_long_macro_chain_resolves(board):
+    # longer than the default Python stack allows when each link recurses
+    chain = "".join(f"#define M{i} M{i + 1}\n" for i in range(600))
+    state, _ = run(chain + "#define M600 1\nuint32_t s = M0;\nint main(void) { }\n", board)
+    assert state.globals == {"s": 1}
+
+
 def test_wild_address_is_diagnosed_not_fatal(board):
     source = (
         "uint32_t got = 0;\n"
