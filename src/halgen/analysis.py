@@ -3,13 +3,16 @@
 Builds the definition/reference table across all translation units,
 derives the ordered list of referenced-but-undefined elements together
 with inferred signatures, and provides the token-class similarity metric
-used to compare regenerated code against originals.
+used to compare regenerated code against originals. An item's definition
+and free-name references are memoised per item, and a text's token-class
+sequence per text, so unchanged items and texts are walked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from halgen.errors import HalgenError
@@ -39,9 +42,15 @@ from halgen.c_ast import (
     While,
     normalize_tokens,
     parse,
+    per_item,
     print_expr,
+    read_source,
 )
 from halgen.c_ast.nodes import BaseType
+
+# Distinct texts whose token-class sequences `token_similarity` keeps. An
+# experiment compares the same few dozen element texts on every iteration.
+TOKEN_CACHE_SIZE = 256
 
 
 class DuplicateDefinition(HalgenError):
@@ -141,7 +150,7 @@ def load_project(directory: str | Path, hal_filename: str = "hal.c") -> Project:
     paths = sorted(p for p in directory.iterdir() if p.suffix in (".c", ".h") and p.is_file())
     if not paths:
         raise FileNotFoundError(f"no .c/.h sources in {directory}")
-    units = tuple(parse(p.read_text(encoding="utf-8"), p.name) for p in paths)
+    units = tuple(parse(read_source(p), p.name) for p in paths)
     names = [u.file_id for u in units]
     hal_id = hal_filename if hal_filename in names else names[0]
     return Project(units, hal_id)
@@ -176,6 +185,7 @@ def build_symbol_table(project: Project) -> SymbolTable:
     return SymbolTable(definitions, references, unit_order)
 
 
+@per_item
 def definition_of(item: TopLevelItem) -> Definition | None:
     """The definition a top-level item makes; None for an include."""
     if isinstance(item, FunctionDef):
@@ -190,19 +200,25 @@ def definition_of(item: TopLevelItem) -> Definition | None:
 
 def collect_external_references(unit: TranslationUnit) -> list[Reference]:
     """Free-name references of a single unit, in source order."""
+    return [ref for item in unit.items for ref in _item_references(item)]
+
+
+@per_item
+def _item_references(item: TopLevelItem) -> tuple[Reference, ...]:
+    """Free-name references of one top-level item, in source order."""
     collector = _ReferenceCollector()
-    for item in unit.items:
-        if isinstance(item, FunctionDef):
-            collector.function(item)
-        elif isinstance(item, GlobalDecl) and item.init is not None:
-            collector.expr(item.init, consumed=True)
-        elif isinstance(item, MacroConst):
-            collector.expr(item.value_expr, consumed=True)
-    return collector.refs
+    if isinstance(item, FunctionDef):
+        collector.scopes.append({p.name for p in item.params})
+        collector.stmt(item.body)
+    elif isinstance(item, GlobalDecl) and item.init is not None:
+        collector.expr(item.init, consumed=True)
+    elif isinstance(item, MacroConst):
+        collector.expr(item.value_expr, consumed=True)
+    return tuple(collector.refs)
 
 
 class _ReferenceCollector:
-    """Walks one unit recording references to names not bound locally."""
+    """Walks one item recording references to names not bound locally."""
 
     def __init__(self):
         self.refs: list[Reference] = []
@@ -210,11 +226,6 @@ class _ReferenceCollector:
 
     def _bound(self, name: str) -> bool:
         return any(name in scope for scope in self.scopes)
-
-    def function(self, fn: FunctionDef) -> None:
-        self.scopes = [{p.name for p in fn.params}]
-        self.stmt(fn.body)
-        self.scopes = []
 
     def stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Compound):
@@ -332,14 +343,19 @@ def token_similarity(a: str, b: str) -> float:
     Identical after identifier/literal classing scores 1.0; both-empty
     inputs score 1.0 by convention.
     """
-    seq_a = normalize_tokens(a)
-    seq_b = normalize_tokens(b)
+    seq_a = _token_classes(a)
+    seq_b = _token_classes(b)
     if not seq_a and not seq_b:
         return 1.0
     return 1.0 - _levenshtein(seq_a, seq_b) / max(len(seq_a), len(seq_b))
 
 
-def _levenshtein(a: list[str], b: list[str]) -> int:
+@lru_cache(maxsize=TOKEN_CACHE_SIZE)
+def _token_classes(text: str) -> tuple[str, ...]:
+    return tuple(normalize_tokens(text))
+
+
+def _levenshtein(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     # A shared prefix or suffix never changes the distance, and a
     # regenerated element often differs from its original in a few tokens.
     start = 0

@@ -8,6 +8,7 @@ from halgen.c_ast.lexer import (
     KEYWORDS,
     lex,
     normalize_tokens,
+    read_source,
 )
 from halgen.c_ast.nodes import (
     Assign,
@@ -37,6 +38,7 @@ from halgen.c_ast.nodes import (
     Unary,
     While,
     item_name,
+    per_item,
 )
 from halgen.c_ast.parser import ParseError, parse
 from halgen.c_ast.printer import (
@@ -54,5 +56,6 @@ __all__ = [
     "MacroConst", "Param", "Paren", "ParseError", "Return", "SourceSpan",
     "Stmt", "Token", "TokenKind", "TopLevelItem", "TranslationUnit",
     "Unary", "While", "item_name", "layout_items", "lex", "normalize_tokens", "parse",
+    "per_item", "read_source",
     "pretty_print", "print_expr", "print_item", "print_type",
 ]

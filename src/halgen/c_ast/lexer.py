@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 from halgen.errors import HalgenError
 
@@ -152,6 +153,23 @@ def lex(source: str, file_id: str = "<input>") -> list[Token]:
             tokens.append(Token(TokenKind.INT_LIT, text, span, value=value))
         line_has_code = True
     return tokens
+
+
+def read_source(path: Path) -> str:
+    """A UTF-8 source file's text, with newlines translated as `read_text` does.
+
+    A byte that does not decode is a LexError at its line, named by the
+    file's name as its file id.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        col = err.start - data.rfind(b"\n", 0, err.start)
+        raise LexError(f"byte 0x{data[err.start]:02X} is not UTF-8",
+                       SourceSpan(path.name, line, col, line, col)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def normalize_tokens(source: str) -> list[str]:

@@ -2,13 +2,16 @@
 
 Equality on nodes is structural: spans (and the preserved literal
 spellings) are excluded from comparison, so two parses of equivalent text
-compare equal regardless of layout.
+compare equal regardless of layout. No code changes a node after parsing,
+so facts derived from an item can be memoised per item (`per_item`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import wraps
 
 from halgen.c_ast.lexer import SourceSpan
 
@@ -201,3 +204,30 @@ def item_name(item: TopLevelItem) -> str | None:
     if isinstance(item, (FunctionDef, GlobalDecl, MacroConst)):
         return item.name
     return None
+
+
+_ABSENT = object()
+
+
+def per_item(fn):
+    """Memoise `fn(item)` by the item's identity.
+
+    Items are unhashable (their equality is structural), so the memo is
+    keyed by `id(item)`, and each entry is dropped by a `weakref.finalize`
+    when its item is collected, before the id can name another item. The
+    entries are in the wrapper's `memo`. A memoised value must not refer to
+    its item, or the item would never be collected.
+    """
+    memo: dict[int, object] = {}
+
+    @wraps(fn)
+    def memoised(item):
+        key = id(item)
+        value = memo.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = memo[key] = fn(item)
+            weakref.finalize(item, memo.pop, key, None)
+        return value
+
+    memoised.memo = memo
+    return memoised

@@ -3,6 +3,7 @@
 The printer emits parentheses only where the tree carries Paren nodes, so
 any tree produced by the parser re-parses to a structurally identical
 tree. Integer literals keep their original spelling (hex stays hex).
+`print_item` is memoised per item, so an unchanged item is printed once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from halgen.c_ast.nodes import (
     TranslationUnit,
     Unary,
     While,
+    per_item,
 )
 
 _UNARY_TEXT = {"deref": "*", "addr_of": "&", "bitnot": "~", "lognot": "!", "neg": "-"}
@@ -157,6 +159,7 @@ def _if_lines(stmt: If, indent: int) -> list[str]:
     return lines
 
 
+@per_item
 def print_item(item: TopLevelItem) -> str:
     if isinstance(item, IncludeDirective):
         return f"#include <{item.path}>" if item.system else f'#include "{item.path}"'

@@ -262,10 +262,10 @@ def insert_patch(project: Project, patch: VettedPatch) -> Project:
     included, built one item at a time: each item is printed, placed on the
     line `layout_items` gives it, and parsed on its own, which is exact
     because the printer starts every item at column 1 on a fresh line.
-    Parsed items are memoized by (text, line, file id), so an item that is
-    unchanged and has not moved is only looked up; the cached nodes are
-    shared between projects, which is safe because no code changes a node
-    after parsing.
+    Printed text is memoised per item and parsed items by (text, line, file
+    id), so an item that is unchanged and has not moved is only looked up;
+    the cached nodes are shared between projects, which is safe because no
+    code changes a node after parsing.
     """
     hal = project.hal_unit()
     items = list(hal.items)

@@ -4,7 +4,8 @@ Two interchangeable backends produce candidate C code from a rendered
 prompt: an HTTP chat-completion client (always temperature 0, one system
 message for the cue and one user message for the rest) and an offline
 knowledge-base backend that resolves element names to canonical snippets
-and is fully deterministic, which makes it the test oracle.
+and is fully deterministic, which makes it the test oracle. Vetting parses
+each distinct candidate text once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from halgen.errors import HalgenError
@@ -35,8 +37,10 @@ from halgen.c_ast import (
     MacroConst,
     ParseError,
     TopLevelItem,
+    TranslationUnit,
     item_name,
     parse,
+    read_source,
 )
 from halgen.prompting import RenderedPrompt
 
@@ -49,6 +53,10 @@ _RETRYABLE = (NETWORK, RATE_LIMIT)
 
 # Seconds slept before each retry of the HTTP backend; the last one repeats.
 RETRY_DELAYS_S = (1.0, 4.0)
+
+# Distinct candidate texts whose parse `vet_patch` keeps. The KB backend
+# returns the same dozen snippets on every experiment iteration.
+PATCH_CACHE_SIZE = 256
 
 
 class BackendError(HalgenError):
@@ -220,8 +228,8 @@ class KnowledgeBase:
             snippet_path = directory / f"{name}.c"
             if not snippet_path.is_file():
                 raise KnowledgeBaseError(f"manifest entry '{name}' has no snippet file")
-            text = snippet_path.read_text(encoding="utf-8")
             try:
+                text = read_source(snippet_path)
                 unit = parse(text, snippet_path.name)
             except (ParseError, LexError) as err:
                 raise KnowledgeBaseError(f"entry '{name}' does not parse: {err}") from err
@@ -316,6 +324,16 @@ def _matches_forbidden(name: str, patterns: tuple[str, ...]) -> bool:
     return any(re.search(pattern, name) for pattern in patterns)
 
 
+@lru_cache(maxsize=PATCH_CACHE_SIZE)
+def _parse_patch(code: str) -> TranslationUnit:
+    """The candidate's parse, shared by every vetting of the same text.
+
+    A text that fails to parse raises and so is not kept. Sharing the items
+    is safe because no code changes a node after parsing.
+    """
+    return parse(code, "<patch>")
+
+
 def vet_patch(
     code: str,
     elem: MissingElement,
@@ -331,7 +349,7 @@ def vet_patch(
     """
     policy = policy or VetPolicy()
     try:
-        unit = parse(code, "<patch>")
+        unit = _parse_patch(code)
     except (ParseError, LexError):
         return Rejection([RejectionReason.PARSE_FAILED.value])
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from halgen.errors import HalgenError
 from halgen.analysis import ElementKind, MissingElement, Signature
+from halgen.c_ast import LexError, read_source
 from halgen.config import data_path
 from halgen.retrieval import Snippet
 
@@ -76,7 +77,11 @@ def load_template(path: str | Path) -> PromptTemplate:
     """
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        source = read_source(Path(path))
+    except LexError as err:
+        raise TemplateError(f"{path}:{err.span.start_line}: {err.message}") from None
+    for lineno, line in enumerate(source.splitlines(), start=1):
         header = re.fullmatch(r"\[([a-z_]+)\]", line.strip())
         if header:
             key = header.group(1)

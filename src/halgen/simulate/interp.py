@@ -133,18 +133,16 @@ class _Machine:
         self.call_depth = 0
 
         self.functions: dict[str, FunctionDef] = {}
-        macro_items: dict[str, MacroConst] = {}
+        self.macro_items: dict[str, MacroConst] = {}
         global_items: list[GlobalDecl] = []
         for unit in project.units:
             for item in unit.items:
                 if isinstance(item, FunctionDef):
                     self.functions[item.name] = item
                 elif isinstance(item, MacroConst):
-                    macro_items[item.name] = item
+                    self.macro_items[item.name] = item
                 elif isinstance(item, GlobalDecl):
                     global_items.append(item)
-
-        self.macros = self._resolve_macros(macro_items)
 
         # per-(peripheral, pin) scripted input positions and sticky last bit
         self._idr_pos: dict[tuple[str, int], int] = {k: 0 for k in scenario.gpio_inputs}
@@ -305,9 +303,11 @@ class _Machine:
     # --- evaluation ----------------------------------------------------------
 
     def run_main(self) -> None:
-        """Initialize the globals in source order, then run `main`."""
+        """Fold the macros, initialize the globals in source order, then run `main`."""
         main = self.functions["main"]
         try:
+            # folding diagnoses, so it may halt at the diagnostic limit
+            self.macros = self._resolve_macros(self.macro_items)
             # compiled before any call nests, and inside this handler, so a
             # deep body compiled near the stack limit fails the verdict
             self.code = {name: compile_function(fn, self) for name, fn in self.functions.items()}

@@ -1,8 +1,10 @@
 """Untrusted input must end in a documented exit code or a ConfigError.
 
-Covers the scenario and board map loaders, the compile gate's argument
-handling, a program too deeply nested for the interpreter's stack, and a
-hypothesis fuzz of the CLI subcommands on generated project files.
+Covers the scenario and board map loaders, source, snippet and template
+files that are not UTF-8, the compile gate's argument handling, a program
+too deeply nested for the interpreter's stack, macros that overflow the
+diagnostic limit, and a hypothesis fuzz of the CLI subcommands on generated
+project files.
 """
 
 import json
@@ -17,10 +19,17 @@ from hypothesis import strategies as st
 
 from conftest import write_project
 from halgen.analysis import load_project
-from halgen.c_ast import print_item
+from halgen.c_ast import LexError, print_item
 from halgen.cli import main
 from halgen.completion import delete_element
-from halgen.config import default_board_map_path, default_project_path, default_scenario_path
+from halgen.config import (
+    default_board_map_path,
+    default_kb_path,
+    default_project_path,
+    default_scenario_path,
+)
+from halgen.generation import KnowledgeBase, KnowledgeBaseError
+from halgen.prompting import TemplateError, load_template
 from halgen.simulate import ConfigError, load_board_map, load_scenario
 
 
@@ -202,6 +211,62 @@ def test_malformed_kb_manifest_is_an_error_without_traceback(tmp_path, capsys, m
     assert all(e.startswith("KnowledgeBaseError: ") and message in e for e in errors)
 
 
+# --- files that are not UTF-8 --------------------------------------------------------
+
+def copy_of(source_dir, directory):
+    directory.mkdir()
+    for source in source_dir.iterdir():
+        (directory / source.name).write_bytes(source.read_bytes())
+    return directory
+
+
+def test_project_source_that_is_not_utf8_is_a_lex_error_at_its_line(tmp_path):
+    project = copy_of(default_project_path(), tmp_path / "proj")
+    (project / "hal.c").write_bytes(b"#include <stdint.h>\n\n#define X 0x1\xff\n")
+    with pytest.raises(LexError) as err:
+        load_project(project)
+    assert (err.value.span.file_id, err.value.span.start_line, err.value.span.start_col) == (
+        "hal.c", 3, 14)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_project_source_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    project = copy_of(default_project_path(), tmp_path / "proj")
+    (project / "hal.c").write_bytes(b"\xff" + (project / "hal.c").read_bytes())
+    args = [command, str(project)]
+    if command == "simulate":
+        args += [str(default_scenario_path()), "--out", str(tmp_path / "v.json")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: hal.c:1:1: byte 0xFF is not UTF-8\n"
+
+
+def test_kb_snippet_that_is_not_utf8_exits_1(tmp_path, capsys):
+    kb = copy_of(default_kb_path(), tmp_path / "kb")
+    (kb / "RCC_BASE.c").write_bytes(b"#define RCC_BASE 0x4002\xc3\n")
+    with pytest.raises(KnowledgeBaseError, match=r"'RCC_BASE'.*RCC_BASE\.c:1:24: "):
+        KnowledgeBase.load(kb)
+    config = write_json(tmp_path / "config.json", {"kb_path": str(kb)})
+    project = tmp_path / "proj"
+    write_project(delete_element(load_project(default_project_path()), "set_io_mode"), project)
+    assert main(["complete", str(project), str(tmp_path / "out"), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RCC_BASE.c" in err and "Traceback" not in err
+
+
+def test_prompt_template_that_is_not_utf8_exits_1(tmp_path, capsys):
+    template = tmp_path / "prompt.txt"
+    template.write_bytes(b"[cue]\nWrite C.\n\xfe\n")
+    with pytest.raises(TemplateError, match=r"prompt\.txt:3: byte 0xFE is not UTF-8"):
+        load_template(template)
+    config = write_json(tmp_path / "config.json", {"template_path": str(template)})
+    project = tmp_path / "proj"
+    write_project(delete_element(load_project(default_project_path()), "set_io_mode"), project)
+    assert main(["complete", str(project), str(tmp_path / "out"), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "prompt.txt:3" in err and "Traceback" not in err
+
+
 # --- interpreter stack ---------------------------------------------------------------
 
 def test_recursion_too_deep_for_the_stack_fails_the_verdict(tmp_path, capsys):
@@ -223,6 +288,24 @@ def test_recursion_too_deep_for_the_stack_fails_the_verdict(tmp_path, capsys):
     assert verdict["diagnostics"] == [{"severity": "error",
                                        "message": "call nesting exceeds the interpreter stack",
                                        "where": f"main.c:{main_line}"}]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_macros_past_the_diagnostic_limit_fail_the_verdict(tmp_path, capsys):
+    # folding diagnoses each distinct out-of-range shift, and the 1,001st
+    # diagnostic stops the run
+    project = tmp_path / "proj"
+    project.mkdir()
+    macros = "".join(f"#define M{i} (1 << (32 + {i}))\n" for i in range(1001))
+    (project / "main.c").write_text(macros + "int main(void) { return 0; }\n", encoding="utf-8")
+    out = tmp_path / "verdict.json"
+    assert main(["simulate", str(project), str(default_scenario_path()), "--out", str(out)]) == 5
+    verdict = json.loads(out.read_text(encoding="utf-8"))
+    assert not verdict["passed"]
+    assert len(verdict["diagnostics"]) == 1000
+    assert verdict["diagnostics"][0] == {"severity": "error",
+                                         "message": "shift count 32 out of range",
+                                         "where": "main.c:1"}
     assert "Traceback" not in capsys.readouterr().err
 
 
